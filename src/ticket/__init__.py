@@ -6,7 +6,8 @@ Subpackages:
 - combinators: BB'IW derivation certificates and the lambda bridge
 - blueprint: stable parts, blueprints, extraction, shuffles, compressions
 - compact: compactness of inhabitants and term transformations
-- shadow: phi-shadows, compact-shadow enumeration, the decision procedure
+- shadow: compact-shadow search (_Solver), decide, and shadows derived from
+  it for the lemma checks
 - oracle: independent brute-force inhabitant enumeration
 - cli: command-line front end
 """

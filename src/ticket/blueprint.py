@@ -121,12 +121,6 @@ def subtree_at(b: Blueprint, a: Address) -> Blueprint:
     )
 
 
-def region_at(b: Blueprint, a: Address) -> Blueprint:
-    """The branch region below a, relative to a (same as the rooted restriction:
-    an application child region is the subtree at that branch)."""
-    return subtree_at(b, a)
-
-
 def app(tag: Formula, left: Blueprint, right: Blueprint) -> Blueprint:
     if left.is_empty() or right.is_empty():
         raise InvalidBlueprint("application children must be nonempty")
@@ -319,7 +313,7 @@ def f_of(b: Blueprint) -> frozenset[tuple[Formula, ...]]:
         if isinstance(root, Leaf):
             return frozenset({(root.formula,)})
         assert isinstance(root, AppTag)
-        return right_shuffle_closure(f_of(region_at(comp, (1,))), f_of(region_at(comp, (2,))))
+        return right_shuffle_closure(f_of(subtree_at(comp, (1,))), f_of(subtree_at(comp, (2,))))
     return shuffle_closure([f_of(comp) for _, comp in comps])
 
 
@@ -341,8 +335,8 @@ def _struct_of_rooted(b: Blueprint) -> Struct:
     if isinstance(root, Leaf):
         return ("L", formula_sort_key(root.formula), root.formula)
     assert isinstance(root, AppTag)
-    left = tuple(sorted(_struct_of_rooted(c) for _, c in components(region_at(b, (1,)))))
-    right = tuple(sorted(_struct_of_rooted(c) for _, c in components(region_at(b, (2,)))))
+    left = tuple(sorted(_struct_of_rooted(c) for _, c in components(subtree_at(b, (1,)))))
+    right = tuple(sorted(_struct_of_rooted(c) for _, c in components(subtree_at(b, (2,)))))
     return ("A", formula_sort_key(root.formula), root.formula, left, right)
 
 
@@ -567,8 +561,8 @@ def print_blueprint(b: Blueprint) -> str:
         if isinstance(root, Leaf):
             return print_formula(root.formula)
         assert isinstance(root, AppTag)
-        lhs = print_region(region_at(c, (1,)))
-        rhs = print_region(region_at(c, (2,)))
+        lhs = print_region(subtree_at(c, (1,)))
+        rhs = print_region(subtree_at(c, (2,)))
         return f"@{print_formula(root.formula)}({lhs},{rhs})"
 
     def print_region(r: Blueprint) -> str:

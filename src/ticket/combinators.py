@@ -17,7 +17,6 @@ from .terms import (
     free_vars,
     hrm_normalize,
     is_nf_inhabitant,
-    type_of,
 )
 
 Path = tuple[int, ...]
@@ -251,7 +250,9 @@ def apply_combine(
 
     Requires n = 0, or n,m > 0 with i_n <= j_m. The recursion uses B to push
     the combination under shared antecedents, B' to swap the two streams, and
-    W to contract when the top antecedents coincide.
+    W to contract when the top antecedents coincide. The types of d1 and d2
+    are read from their root annotations, not re-checked; every new step is
+    built through `mp`, which checks that the types fit.
     """
     for seq in (i_seq, j_seq, k_seq):
         if any(seq[x] >= seq[x + 1] for x in range(len(seq) - 1)):
@@ -261,8 +262,8 @@ def apply_combine(
     if i_seq and not (j_seq and i_seq[-1] <= j_seq[-1]):
         raise PreconditionViolated("need n = 0 or i_n <= j_m")
 
-    t1 = check_derivation(d1)
-    t2 = check_derivation(d2)
+    t1 = _root_type(d1)
+    t2 = _root_type(d2)
     omega: dict[int, Formula] = {}
 
     def record(positions: tuple[int, ...], parts: list[Formula]) -> None:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .blueprint import (
     Blueprint,
-    Leaf,
     NotExtractable,
     blueprint_of,
     extract_at,
@@ -22,7 +21,6 @@ from .blueprint import (
     print_blueprint,
     relative_depth,
     single_grafts,
-    subtree_at,
     up_closure,
 )
 from .formula import Formula, subformulas

@@ -6,7 +6,6 @@ order type of ranks matters for HRM and typing, so this loses nothing.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .formula import Formula, Imp, formula_sort_key, subformulas
@@ -16,7 +15,9 @@ from .terms import (
     Term,
     Var,
     VarRef,
+    _rename_bound,
     alpha_canonical,
+    bound_refs,
     free_vars,
     print_term,
 )
@@ -70,23 +71,13 @@ def _merges(a: tuple[Formula, ...], b: tuple[Formula, ...]):
 def _rerank_free(m: Term, old_free: tuple[Formula, ...], positions: tuple[int, ...], bound_base: int) -> Term:
     """Map free rank i -> positions[i-1]; move bound ranks above bound_base
     preserving their order."""
-    from .terms import bound_refs, _rename_bound  # shared renaming helper
-
     mapping: dict[VarRef, VarRef] = {}
     for i, tau in enumerate(old_free):
         mapping[VarRef(i + 1, tau)] = VarRef(positions[i], tau)
     bounds = sorted(set(bound_refs(m)), key=lambda r: r.rank)
     for k, ref in enumerate(bounds):
         mapping[ref] = VarRef(bound_base + k + 1, ref.var_type)
-
-    def walk(t: Term) -> Term:
-        if isinstance(t, Var):
-            return Var(mapping.get(t.ref, t.ref))
-        if isinstance(t, Lam):
-            return Lam(mapping.get(t.binder, t.binder), walk(t.body))
-        return App(walk(t.fn), walk(t.arg))
-
-    return walk(m)
+    return _rename_bound(m, mapping)
 
 
 def _grow(phi: Formula, bound: SearchBound) -> dict[int, list[_State]]:
@@ -133,16 +124,10 @@ def _grow(phi: Formula, bound: SearchBound) -> dict[int, list[_State]]:
                         ):
                             continue
                         left = _rerank_free(st1.term, st1.free_types, pa, r)
-                        right_base = r + len(set(x.rank for x in _bound_of(left)))
+                        right_base = r + len(set(x.rank for x in bound_refs(left)))
                         right = _rerank_free(st2.term, st2.free_types, pb, right_base)
                         add(size, App(left, right), st1.term_type.consequent)
     return by_size
-
-
-def _bound_of(m: Term):
-    from .terms import bound_refs
-
-    return bound_refs(m)
 
 
 def enumerate_inhabitants(phi: Formula, bound: SearchBound = SearchBound()) -> list[Term]:

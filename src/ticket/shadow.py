@@ -1,12 +1,14 @@
-"""Shadows of inhabitants, compact-shadow enumeration and the decision engine.
+"""Compact-shadow search (`_Solver`), `decide`, and shadows derived from it
+for the lemma checks.
 
 A shadow abstracts a normal inhabitant into a tree with the same domain,
 labeling every address with (free-variable type sequence, compressed
 blueprint, subterm type). Compact shadows of a formula form a finite set, so
-inhabitation reduces to enumerating their tree domains and searching for an
-inhabitant per domain.
+the search for inhabitants with compact shadows terminates. `_Solver` is the
+one search recursion; `enumerate_compact_shadows` projects its solutions to
+shadows and `inhabitant_with_domain` filters the oracle's enumeration.
 
-The enumeration works on a quotient: states carry the (arity, chi, psi)
+The search works on a quotient: states carry the (arity, chi, psi)
 labeling plus one witness blueprint per node. Ancestor/descendant compactness
 constrains a node only through its own blueprint and the ancestors' chi
 sequences, so witnesses can be chosen per node. The chosen witness is a
@@ -29,20 +31,26 @@ from .blueprint import (
     Leaf,
     admits_sequence,
     app,
+    blueprint_of,
     canonicalize,
     compress_to_max,
     contraction_closure,
     empty,
     f_of,
     leaf,
-    print_blueprint,
     relative_depth,
     width,
 )
 from .combinators import CombDerivation, extract_combinator
 from .compact import lambda_prefix
-from .formula import Formula, Imp, formula_sort_key, print_formula, subformulas
-from .oracle import SearchBound, Inhabited as OracleInhabited, bounded_decide, _merges, _rerank_free
+from .formula import Formula, Imp, formula_sort_key, subformulas
+from .oracle import (
+    SearchBound,
+    Inhabited as OracleInhabited,
+    bounded_decide,
+    enumerate_inhabitants,
+    _rerank_free,
+)
 from .terms import (
     Address,
     App,
@@ -52,12 +60,12 @@ from .terms import (
     VarRef,
     addresses,
     alpha_canonical,
+    bound_refs,
     free_vars,
-    is_nf_inhabitant,
+    node_count,
     print_term,
     type_of,
 )
-from .blueprint import blueprint_of
 
 
 @dataclass(frozen=True)
@@ -182,7 +190,7 @@ def _feasible_gamma(
     s = len(subs)
     if n - 1 <= s:
         tags = tuple(subs[: max(0, n - 1)])
-        return _Feasibility(canonicalize(_comb(chi, tags)), True)
+        return _Feasibility(_comb(chi, tags), True)
     count = 0
     for pattern in _patterns(n - 1, s):
         count += 1
@@ -190,7 +198,7 @@ def _feasible_gamma(
             return _Feasibility(None, False)
         if not (_comb_universe(chi, pattern) & constraints):
             tags = tuple(subs[c] for c in pattern)
-            return _Feasibility(canonicalize(_comb(chi, tags)), True)
+            return _Feasibility(_comb(chi, tags), True)
     return _Feasibility(None, False)
 
 
@@ -268,7 +276,7 @@ def is_compact_shadow(x: Shadow) -> bool:
     return True
 
 
-# --- compact-shadow enumeration ---------------------------------------------
+# --- compact-shadow search ---------------------------------------------------
 
 @dataclass(frozen=True)
 class Caps:
@@ -277,142 +285,19 @@ class Caps:
     max_label_candidates: int = 20_000
 
 
-@dataclass
-class Enumeration:
-    shadows: list[Shadow]
-    complete: bool
-    exact: bool
-    stats: dict[str, int] = field(default_factory=dict)
-
-
-def _chi_splits(chi: tuple[Formula, ...]):
-    """All (chi_left, chi_right) a binary node can induce: each position of
-    chi goes left, right or both; the rightmost used left position must be
-    covered on the right as well (the HRM application condition)."""
-    r = len(chi)
-    out: list[tuple[tuple[Formula, ...], tuple[Formula, ...]]] = []
-    seen: set[tuple[tuple[Formula, ...], tuple[Formula, ...]]] = set()
-    for assign in itertools.product("LRB", repeat=r):
-        left_pos = [i for i in range(r) if assign[i] in "LB"]
-        right_pos = [i for i in range(r) if assign[i] in "RB"]
-        if left_pos and (not right_pos or left_pos[-1] > right_pos[-1]):
-            continue
-        pair = (
-            tuple(chi[i] for i in left_pos),
-            tuple(chi[i] for i in right_pos),
-        )
-        if pair not in seen:
-            seen.add(pair)
-            out.append(pair)
-    return out
-
-
-def enumerate_compact_shadows(phi: Formula, caps: Caps = Caps()) -> Enumeration:
-    """All fully expanded compact phi-shadows: every leaf is a variable node
-    (chi = (psi,)) and every edge labeling is consistent with some normal HRM
-    term skeleton.
-
-    Subtrees are enumerated once per (chi, psi, binder-count, ancestor label
-    history) key, so sibling subtrees never multiply the search state.
-    `complete` is False when a cap stopped the closure; `exact` is False when
-    some pruning step could not be decided exactly (then an Empty verdict
-    downstream must degrade)."""
-    subs = sorted(subformulas(phi), key=formula_sort_key)
-    state = {"complete": True, "exact": True, "expanded": 0, "emitted": 0}
-    memo: dict[tuple, tuple[dict[Address, ShadowLabel], ...]] = {}
-
-    def feasible(chi, arity, psi, hist) -> Blueprint | None:
-        constraints = frozenset(c for ar, ps, c in hist if ar == arity and ps == psi)
-        f = _feasible_gamma(chi, constraints, subs, caps.max_label_candidates)
-        if f.gamma is None and not f.exact:
-            state["exact"] = False
-        return f.gamma
-
-    def rec(
-        chi: tuple[Formula, ...],
-        psi: Formula,
-        k: int,
-        hist: frozenset,
-        depth: int,
-        fn_position: bool,
-    ) -> tuple[dict[Address, ShadowLabel], ...]:
-        key = (chi, psi, k, hist, fn_position)
-        if key in memo:
-            return memo[key]
-        if depth > caps.max_shadow_nodes:
-            state["complete"] = False
-            return ()
-        state["expanded"] += 1
-        out: list[dict[Address, ShadowLabel]] = []
-        if chi == (psi,):
-            out.append({(): ShadowLabel(chi, _witness_gamma(chi, subs), psi)})
-        if isinstance(psi, Imp) and len(chi) < k + 1 and not fn_position:
-            g = feasible(chi, 1, psi, hist)
-            if g is not None:
-                child_hist = hist | {(1, psi, chi)}
-                for sub in rec(
-                    chi + (psi.antecedent,), psi.consequent, k + 1, child_hist, depth + 1, False
-                ):
-                    m = {(): ShadowLabel(chi, g, psi)}
-                    m.update({(1,) + a: lb for a, lb in sub.items()})
-                    out.append(m)
-        g2 = feasible(chi, 2, psi, hist)
-        if g2 is not None:
-            child_hist = hist | {(2, psi, chi)}
-            for psi2 in subs:
-                fn_type = Imp(psi2, psi)
-                if fn_type not in subs:
-                    continue
-                for chi1, chi2 in _chi_splits(chi):
-                    lefts = rec(chi1, fn_type, k, child_hist, depth + 1, True)
-                    if not lefts:
-                        continue
-                    rights = rec(chi2, psi2, k, child_hist, depth + 1, False)
-                    for s1 in lefts:
-                        for s2 in rights:
-                            m = {(): ShadowLabel(chi, g2, psi)}
-                            m.update({(1,) + a: lb for a, lb in s1.items()})
-                            m.update({(2,) + a: lb for a, lb in s2.items()})
-                            out.append(m)
-        state["emitted"] += len(out)
-        if state["emitted"] > caps.max_shadows:
-            state["complete"] = False
-            out = out[: max(0, caps.max_shadows - (state["emitted"] - len(out)))]
-        result = tuple(out)
-        if len(memo) < caps.max_shadows:
-            memo[key] = result
-        return result
-
-    mappings = rec((), phi, 0, frozenset(), 0, False)
-    shadows = sorted(
-        {make_shadow(dict(m)) for m in mappings},
-        key=lambda s: (len(s.domain), s.domain),
-    )
-    return Enumeration(
-        shadows,
-        state["complete"],
-        state["exact"],
-        {"shadows": len(shadows), "expanded": state["expanded"]},
-    )
-
-
 def _chi_split_positions(chi: tuple[Formula, ...]):
-    """Like _chi_splits but with the 1-based positions of each side in the
-    merged sequence, as needed to rebuild an application term."""
+    """All (chi1, pos1, chi2, pos2) a binary node can induce: each position of
+    chi goes to the function side, the argument side or both; the rightmost
+    function-side position must be covered on the argument side as well (the
+    HRM application condition). pos1 and pos2 are the 1-based positions of
+    each side in chi, as needed to rebuild an application term."""
     r = len(chi)
     out = []
-    seen = set()
     for assign in itertools.product("LRB", repeat=r):
         pos1 = tuple(i + 1 for i in range(r) if assign[i] in "LB")
         pos2 = tuple(i + 1 for i in range(r) if assign[i] in "RB")
-        if set(pos1) | set(pos2) != set(range(1, r + 1)):
-            continue
         if pos1 and (not pos2 or pos1[-1] > pos2[-1]):
             continue
-        key = (pos1, pos2)
-        if key in seen:
-            continue
-        seen.add(key)
         out.append(
             (
                 tuple(chi[p - 1] for p in pos1),
@@ -444,7 +329,7 @@ class _Solver:
         self.subs = sorted(subformulas(self.phi), key=formula_sort_key)
 
     def solve(self) -> tuple[Term, ...]:
-        return self.sols((), self.phi, 0, frozenset(), 0, False)
+        return self.sols((), self.phi, 0, frozenset(), False)
 
     def sols(
         self,
@@ -452,18 +337,19 @@ class _Solver:
         psi: Formula,
         k: int,
         hist: frozenset,
-        depth: int,
         fn_position: bool,
     ) -> tuple[Term, ...]:
         """All normal HRM terms t with type psi, free types exactly chi at
         ranks 1..|chi|, whose subtree shadow extends the given ancestor
         history without breaking compactness. A function-position subterm is
         never an abstraction (the term would have a redex), so that branch is
-        skipped outright there."""
+        skipped outright there. Every step adds a new (arity, psi, chi) entry
+        to hist (a repeated entry fails feasibility), so len(hist) is the
+        depth."""
         key = (chi, psi, k, hist, fn_position)
         if key in self.memo:
             return self.memo[key]
-        if depth > self.caps.max_shadow_nodes:
+        if len(hist) > self.caps.max_shadow_nodes:
             self.complete = False
             return ()
         self.expanded += 1
@@ -471,36 +357,32 @@ class _Solver:
         if chi == (psi,):
             out.append(Var(VarRef(1, psi)))
         if isinstance(psi, Imp) and len(chi) < k + 1 and not fn_position:
-            feas = self._feasible(chi, 1, psi, hist)
-            if feas:
+            if self._feasible(chi, 1, psi, hist) is not None:
                 child_hist = hist | {(1, psi, chi)}
                 binder = VarRef(len(chi) + 1, psi.antecedent)
                 for t in self.sols(
-                    chi + (psi.antecedent,), psi.consequent, k + 1, child_hist,
-                    depth + 1, False,
+                    chi + (psi.antecedent,), psi.consequent, k + 1, child_hist, False
                 ):
                     out.append(Lam(binder, t))
-        feas2 = self._feasible(chi, 2, psi, hist)
-        if feas2:
+        if self._feasible(chi, 2, psi, hist) is not None:
             child_hist = hist | {(2, psi, chi)}
             r = len(chi)
+            splits = _chi_split_positions(chi)
             for psi2 in self.subs:
                 fn_type = Imp(psi2, psi)
                 if fn_type not in self.subs:
                     continue
-                for chi1, pos1, chi2, pos2 in _chi_split_positions(chi):
-                    sols1 = self.sols(chi1, fn_type, k, child_hist, depth + 1, True)
+                for chi1, pos1, chi2, pos2 in splits:
+                    sols1 = self.sols(chi1, fn_type, k, child_hist, True)
                     if not sols1:
                         continue
-                    sols2 = self.sols(chi2, psi2, k, child_hist, depth + 1, False)
+                    sols2 = self.sols(chi2, psi2, k, child_hist, False)
                     for t1 in sols1:
                         for t2 in sols2:
                             left = _rerank_free(t1, chi1, pos1, r)
-                            lb = {ref.rank for ref in _bounds(left)}
+                            lb = {ref.rank for ref in bound_refs(left)}
                             right = _rerank_free(t2, chi2, pos2, r + len(lb))
                             out.append(alpha_canonical(App(left, right)))
-        from .terms import node_count
-
         result = tuple(
             sorted(set(out), key=lambda t: (node_count(t), print_term(t)))
         )
@@ -512,102 +394,90 @@ class _Solver:
 
     def _feasible(
         self, chi: tuple[Formula, ...], arity: int, psi: Formula, hist: frozenset
-    ) -> bool:
+    ) -> Blueprint | None:
+        """A comb gamma for a node labelled (arity, psi, chi) below the given
+        ancestor history, or None; a None that is not a proof clears exact."""
         constraints = frozenset(c for (r, p, c) in hist if r == arity and p == psi)
         feas = _feasible_gamma(chi, constraints, self.subs, self.caps.max_label_candidates)
         if feas.gamma is None and not feas.exact:
             self.exact = False
-        return feas.gamma is not None
+        return feas.gamma
 
 
-def _is_closed_shadow(x: Shadow) -> bool:
-    """Every leaf can stand for a variable: chi = (psi)."""
-    return all(x.get(a).chi_seq == (x.get(a).psi,) for a in x.leaves())
+# --- shadows derived from the solver, for the lemma checks -----------------
+
+@dataclass
+class Enumeration:
+    shadows: list[Shadow]
+    complete: bool
+    exact: bool
+    stats: dict[str, int] = field(default_factory=dict)
 
 
-# --- per-domain inhabitant search -------------------------------------------
-
-def _domain_search(
-    phi: Formula,
-    domain: tuple[Address, ...],
-    psi_pin: dict[Address, Formula] | None,
-) -> Term | None:
-    """First closed normal HRM inhabitant of phi with the given tree domain,
-    node kinds forced by arity, types within Sub(phi) (pinned per address when
-    psi_pin is given)."""
-    subs = sorted(subformulas(phi), key=formula_sort_key)
-    dom = set(domain)
-
-    def states(a: Address) -> list[tuple[Term, Formula, tuple[Formula, ...]]]:
-        kids = [i for i in (1, 2) if a + (i,) in dom]
-        if not kids:
-            types = [psi_pin[a]] if psi_pin else subs
-            return [(Var(VarRef(1, tau)), tau, (tau,)) for tau in types]
-        if kids == [1]:
-            out = []
-            for term, tau, ftypes in states(a + (1,)):
-                if not ftypes:
-                    continue
-                lam_type = Imp(ftypes[-1], tau)
-                if lam_type not in subs:
-                    continue
-                if psi_pin and psi_pin[a] != lam_type:
-                    continue
-                binder = VarRef(len(ftypes), ftypes[-1])
-                out.append((Lam(binder, term), lam_type, ftypes[:-1]))
-            return out
-        # binary node: the function child must not be an abstraction
-        if a + (1, 1) in dom and a + (1, 2) not in dom:
-            return []
-        out = []
-        dedup: set[Term] = set()
-        for t1, tau1, f1 in states(a + (1,)):
-            if not isinstance(tau1, Imp):
-                continue
-            for t2, tau2, f2 in states(a + (2,)):
-                if tau2 != tau1.antecedent:
-                    continue
-                if psi_pin and psi_pin[a] != tau1.consequent:
-                    continue
-                for r, pa, pb in _merges(f1, f2):
-                    if f1 and (not f2 or pa[-1] > pb[-1]):
-                        continue
-                    left = _rerank_free(t1, f1, pa, r)
-                    lb = {ref.rank for ref in _bounds(left)}
-                    right = _rerank_free(t2, f2, pb, r + len(lb))
-                    term = alpha_canonical(App(left, right))
-                    if term in dedup:
-                        continue
-                    dedup.add(term)
-                    merged: list[Formula] = [None] * r  # type: ignore[list-item]
-                    for i, p in enumerate(pa):
-                        merged[p - 1] = f1[i]
-                    for i, p in enumerate(pb):
-                        merged[p - 1] = f2[i]
-                    out.append((term, tau1.consequent, tuple(merged)))
-        return out
-
-    hits = [
-        term
-        for term, tau, ftypes in states(())
-        if tau == phi and not ftypes and is_nf_inhabitant(alpha_canonical(term), phi)
-    ]
-    if not hits:
-        return None
-    return sorted((alpha_canonical(t) for t in hits), key=print_term)[0]
+def _solution_shadow(solver: _Solver, m: Term) -> Shadow:
+    """The shadow the solver's search gave the solution m: walking m top-down
+    with the ancestor history, each node is labelled with its free types in
+    rank order (chi), its type (psi) and a canonical comb gamma: the
+    unconstrained witness at a leaf, the feasibility comb that admitted the
+    node elsewhere."""
+    mapping: dict[Address, ShadowLabel] = {}
+    stack: list[tuple[Address, Term, frozenset]] = [((), m, frozenset())]
+    while stack:
+        a, t, hist = stack.pop()
+        chi = tuple(v.var_type for v in free_vars(t))
+        psi = type_of(t)
+        if isinstance(t, Var):
+            mapping[a] = ShadowLabel(chi, _witness_gamma(chi, solver.subs), psi)
+            continue
+        arity = 1 if isinstance(t, Lam) else 2
+        gamma = solver._feasible(chi, arity, psi, hist)
+        assert gamma is not None, "the solver admitted this node"
+        mapping[a] = ShadowLabel(chi, canonicalize(gamma), psi)
+        child_hist = hist | {(arity, psi, chi)}
+        if isinstance(t, Lam):
+            stack.append((a + (1,), t.body, child_hist))
+        else:
+            stack.append((a + (1,), t.fn, child_hist))
+            stack.append((a + (2,), t.arg, child_hist))
+    return make_shadow(mapping)
 
 
-def _bounds(m: Term):
-    from .terms import bound_refs
+def enumerate_compact_shadows(phi: Formula, caps: Caps = Caps()) -> Enumeration:
+    """All fully expanded compact phi-shadows, derived from `_Solver`: the
+    shadows of the terms it returns (see `_solution_shadow`), without
+    repeats, ordered by domain size and domain. Every leaf is a variable node
+    (chi = (psi,)).
 
-    return bound_refs(m)
+    `complete` and `exact` are the solver's: `complete` is False when a cap
+    (history length or memo size) stopped the search; `exact` is False when
+    some pruning step could not be decided exactly (then an Empty verdict
+    downstream must degrade)."""
+    solver = _Solver(phi, caps)
+    unique = dict.fromkeys(_solution_shadow(solver, m) for m in solver.solve())
+    shadows = sorted(unique, key=lambda s: (len(s.domain), s.domain))
+    return Enumeration(
+        shadows,
+        solver.complete,
+        solver.exact,
+        {"shadows": len(shadows), "expanded": solver.expanded},
+    )
 
 
 def inhabitant_with_domain(phi: Formula, x: Shadow) -> Term | None:
-    """First inhabitant with the shadow's tree domain, types pinned to the
-    shadow's psi labels."""
-    pins = {a: x.get(a).psi for a in x.domain}
-    return _domain_search(phi, x.domain, pins)
+    """First inhabitant with the shadow's tree domain and the shadow's psi
+    label as its type at every address, derived from the oracle: the first
+    such term in `enumerate_inhabitants` order (size, then print). The bound
+    is the domain size n; a term of n nodes has at most n free variables, so
+    the rank-span bound n drops none."""
+    n = len(x.domain)
+    pins = {a: label.psi for a, label in x.entries}
+    for m in enumerate_inhabitants(phi, SearchBound(max_nodes=n, max_var_rank_span=n)):
+        subterms = dict(addresses(m))
+        if subterms.keys() == pins.keys() and all(
+            type_of(t) == pins[a] for a, t in subterms.items()
+        ):
+            return m
+    return None
 
 
 # --- the decision procedure -------------------------------------------------

@@ -167,15 +167,6 @@ def check_conventions(m: Term) -> None:
         raise InvalidTerm("rank both free and bound")
 
 
-def is_well_formed(m: Term) -> bool:
-    try:
-        check_conventions(m)
-        free_vars(m)
-    except InvalidTerm:
-        return False
-    return True
-
-
 def is_hrm(m: Term) -> bool:
     try:
         return _is_hrm(m)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ticket import combinators
 from ticket.combinators import (
     BadModusPonens,
     CertificateFormatError,
@@ -92,6 +93,21 @@ def test_extract_combinator_roundtrip():
         assert check_derivation(d2) == phi
         m2 = comb_to_lambda(d2)
         assert is_nf_inhabitant(m2, phi)
+
+
+def test_extract_combinator_checks_once(monkeypatch):
+    phi = parse_formula("(a->(a->b))->(a->b)")
+    m = comb_to_lambda(axiom_w(a, b))
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return check_derivation(d)
+
+    monkeypatch.setattr(combinators, "check_derivation", counting)
+    d = extract_combinator(m, phi)
+    assert len(calls) == 1
+    assert check_derivation(d) == phi
 
 
 def test_json_roundtrip():

@@ -15,7 +15,9 @@ from ticket.shadow import (
     shadow_of,
 )
 from ticket.terms import Lam, Var, VarRef, is_nf_inhabitant, print_term
-from ticket.formula import Atom
+from ticket.formula import Atom, subformulas
+
+from conftest import formula_corpus
 
 a = Atom("a")
 
@@ -114,6 +116,21 @@ def test_inhabitant_with_domain():
     found = inhabitant_with_domain(phi, x)
     assert found is not None
     assert is_nf_inhabitant(found, phi)
+
+
+def test_enumerated_shadows_are_compact_and_inhabited():
+    count = 0
+    for phi in formula_corpus():
+        if len(subformulas(phi)) > 5:
+            continue
+        for x in enumerate_compact_shadows(phi).shadows:
+            count += 1
+            assert is_phi_shadow(x, phi)
+            assert is_compact_shadow(x)
+            found = inhabitant_with_domain(phi, x)
+            assert found is not None
+            assert is_nf_inhabitant(found, phi)
+    assert count == 14
 
 
 def test_config_validation():
