@@ -353,22 +353,29 @@ def derivation_to_json(d: CombDerivation) -> dict[str, Any]:
 
 
 def derivation_from_json(data: Any) -> CombDerivation:
-    if not isinstance(data, dict) or "kind" not in data or "type" not in data:
-        raise CertificateFormatError("certificate nodes need 'kind' and 'type'")
-    try:
-        node_type = parse_formula(data["type"])
-    except Exception as exc:
-        raise CertificateFormatError(f"bad type string: {exc}") from exc
-    kind = data["kind"]
-    if kind == "mp":
-        children = data.get("children")
-        if not isinstance(children, list) or len(children) != 2:
-            raise CertificateFormatError("mp node needs exactly two children")
-        return MP(
-            derivation_from_json(children[0]),
-            derivation_from_json(children[1]),
-            node_type,
-        )
-    if kind not in AXIOM_KINDS:
-        raise CertificateFormatError(f"unknown node kind {kind!r}")
-    return Axiom(kind, node_type)
+    """Rebuild a derivation from `derivation_to_json` output, parsing each
+    distinct type string once."""
+    types: dict[str, Formula] = {}
+
+    def build(node: Any) -> CombDerivation:
+        if not isinstance(node, dict) or "kind" not in node or "type" not in node:
+            raise CertificateFormatError("certificate nodes need 'kind' and 'type'")
+        text = node["type"]
+        node_type = types.get(text) if isinstance(text, str) else None
+        if node_type is None:
+            try:
+                node_type = parse_formula(text)
+            except Exception as exc:
+                raise CertificateFormatError(f"bad type string: {exc}") from exc
+            types[text] = node_type
+        kind = node["kind"]
+        if kind == "mp":
+            children = node.get("children")
+            if not isinstance(children, list) or len(children) != 2:
+                raise CertificateFormatError("mp node needs exactly two children")
+            return MP(build(children[0]), build(children[1]), node_type)
+        if kind not in AXIOM_KINDS:
+            raise CertificateFormatError(f"unknown node kind {kind!r}")
+        return Axiom(kind, node_type)
+
+    return build(data)

@@ -63,7 +63,8 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse `F ::= atom | F "->" F | "(" F ")"` with right-associative arrow."""
+    """Parse `F ::= atom | F "->" F | "(" F ")"` with right-associative arrow.
+    Input nested beyond the interpreter's recursion limit is a syntax error."""
     tokens = _tokenize(text)
     index = 0
 
@@ -99,7 +100,10 @@ def parse_formula(text: str) -> Formula:
             raise FormulaSyntaxError(f"unexpected {text_!r}", offset)
         return Atom(text_)
 
-    result = parse_arrow()
+    try:
+        result = parse_arrow()
+    except RecursionError:
+        raise FormulaSyntaxError("formula nested too deeply", 0) from None
     trailing = peek()
     if trailing is not None:
         raise FormulaSyntaxError(f"trailing input {trailing[0]!r}", trailing[1])

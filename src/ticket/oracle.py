@@ -3,10 +3,17 @@
 Ground truth for cross-validation: a bottom-up dynamic program over term
 size. Open terms are kept alpha-canonical with free ranks 1..p; only the
 order type of ranks matters for HRM and typing, so this loses nothing.
+
+Only terms that can still close within the node bound are built. Merges
+place free ranks injectively, so a term of s nodes with p free variables
+sits under p distinct binders in any closed term, which then has at least
+s + p nodes. `bounded_decide` stops at the smallest size with a closed
+inhabitant.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .formula import Formula, Imp, formula_sort_key, subformulas
 from .terms import (
@@ -80,9 +87,13 @@ def _rerank_free(m: Term, old_free: tuple[Formula, ...], positions: tuple[int, .
     return _rename_bound(m, mapping)
 
 
-def _grow(phi: Formula, bound: SearchBound) -> dict[int, list[_State]]:
+def _levels(phi: Formula, bound: SearchBound) -> Iterator[tuple[int, list[_State]]]:
+    """Yield `(size, states)` for sizes 1..max_nodes, each level as soon as it
+    is built. Above size 1, a term of `size` nodes with p free variables is
+    built only if size + p <= max_nodes (see the module docstring)."""
     subs = subformulas(phi)
     span = bound.max_var_rank_span
+    limit = bound.max_nodes
     by_size: dict[int, list[_State]] = {}
     seen: set[Term] = set()
 
@@ -92,32 +103,35 @@ def _grow(phi: Formula, bound: SearchBound) -> dict[int, list[_State]]:
             return
         seen.add(canonical)
         ftypes = tuple(v.var_type for v in free_vars(canonical))
-        by_size.setdefault(size, []).append(_State(canonical, term_type, ftypes))
+        by_size[size].append(_State(canonical, term_type, ftypes))
 
     by_size[1] = []
     for tau in sorted(subs, key=formula_sort_key):
         add(1, Var(VarRef(1, tau)), tau)
+    yield 1, by_size[1]
 
-    for size in range(2, bound.max_nodes + 1):
-        # abstractions over size-1 bodies
-        for st in by_size.get(size - 1, []):
+    for size in range(2, limit + 1):
+        by_size[size] = []
+        # abstractions over size-1 bodies: one more node and one fewer free
+        # variable keep size + p within the limit, so they need no check
+        for st in by_size[size - 1]:
             if st.free_types:
                 p = len(st.free_types)
                 binder = VarRef(p, st.free_types[-1])
                 lam_type = Imp(st.free_types[-1], st.term_type)
                 if lam_type in subs:
                     add(size, Lam(binder, st.term), lam_type)
-        # applications
+        # applications; the result has r free variables
         for s1 in range(1, size - 1):
             s2 = size - 1 - s1
-            for st1 in by_size.get(s1, []):
+            for st1 in by_size[s1]:
                 if isinstance(st1.term, Lam) or not isinstance(st1.term_type, Imp):
                     continue
-                for st2 in by_size.get(s2, []):
+                for st2 in by_size[s2]:
                     if st2.term_type != st1.term_type.antecedent:
                         continue
                     for r, pa, pb in _merges(st1.free_types, st2.free_types):
-                        if r > span:
+                        if r > span or size + r > limit:
                             continue
                         if st1.free_types and (
                             not st2.free_types or pa[-1] > pb[-1]
@@ -127,22 +141,21 @@ def _grow(phi: Formula, bound: SearchBound) -> dict[int, list[_State]]:
                         right_base = r + len(set(x.rank for x in bound_refs(left)))
                         right = _rerank_free(st2.term, st2.free_types, pb, right_base)
                         add(size, App(left, right), st1.term_type.consequent)
-    return by_size
+        yield size, by_size[size]
+
+
+def _hits(phi: Formula, states: list[_State]) -> list[Term]:
+    """The closed terms of type phi among one level's states, by print."""
+    return sorted(
+        (st.term for st in states if not st.free_types and st.term_type == phi),
+        key=print_term,
+    )
 
 
 def enumerate_inhabitants(phi: Formula, bound: SearchBound = SearchBound()) -> list[Term]:
     """All alpha-canonical closed normal HRM terms of type phi within the node
     bound, ordered by (size, canonical print)."""
-    by_size = _grow(phi, bound)
-    result: list[Term] = []
-    for size in sorted(by_size):
-        hits = [
-            st.term
-            for st in by_size[size]
-            if not st.free_types and st.term_type == phi
-        ]
-        result.extend(sorted(hits, key=print_term))
-    return result
+    return [m for _, states in _levels(phi, bound) for m in _hits(phi, states)]
 
 
 @dataclass(frozen=True)
@@ -157,6 +170,10 @@ class Unknown:
 
 def bounded_decide(phi: Formula, bound: SearchBound = SearchBound()) -> Inhabited | Unknown:
     """Semi-decision: the smallest witness within the bound, or Unknown.
-    Never claims emptiness."""
-    hits = enumerate_inhabitants(phi, bound)
-    return Inhabited(hits[0]) if hits else Unknown()
+    Never claims emptiness. Stops at the first size that has an inhabitant
+    and builds no larger term."""
+    for _, states in _levels(phi, bound):
+        hits = _hits(phi, states)
+        if hits:
+            return Inhabited(hits[0])
+    return Unknown()

@@ -6,7 +6,7 @@ labeling every address with (free-variable type sequence, compressed
 blueprint, subterm type). Compact shadows of a formula form a finite set, so
 the search for inhabitants with compact shadows terminates. `_Solver` is the
 one search recursion; `enumerate_compact_shadows` projects its solutions to
-shadows and `inhabitant_with_domain` filters the oracle's enumeration.
+shadows and `inhabitant_with_domain` filters one size level of the oracle.
 
 The search works on a quotient: states carry the (arity, chi, psi)
 labeling plus one witness blueprint per node. Ancestor/descendant compactness
@@ -48,7 +48,8 @@ from .oracle import (
     SearchBound,
     Inhabited as OracleInhabited,
     bounded_decide,
-    enumerate_inhabitants,
+    _hits,
+    _levels,
     _rerank_free,
 )
 from .terms import (
@@ -466,12 +467,14 @@ def enumerate_compact_shadows(phi: Formula, caps: Caps = Caps()) -> Enumeration:
 def inhabitant_with_domain(phi: Formula, x: Shadow) -> Term | None:
     """First inhabitant with the shadow's tree domain and the shadow's psi
     label as its type at every address, derived from the oracle: the first
-    such term in `enumerate_inhabitants` order (size, then print). The bound
-    is the domain size n; a term of n nodes has at most n free variables, so
-    the rank-span bound n drops none."""
+    such term, by print, of the oracle's size-n level, n the domain size (only
+    n-node terms have an n-address domain). The bound is n; a term of n nodes
+    has at most n free variables, so the rank-span bound n drops none."""
     n = len(x.domain)
     pins = {a: label.psi for a, label in x.entries}
-    for m in enumerate_inhabitants(phi, SearchBound(max_nodes=n, max_var_rank_span=n)):
+    levels = _levels(phi, SearchBound(max_nodes=n, max_var_rank_span=n))
+    states = next(level for size, level in levels if size == n)
+    for m in _hits(phi, states):
         subterms = dict(addresses(m))
         if subterms.keys() == pins.keys() and all(
             type_of(t) == pins[a] for a, t in subterms.items()

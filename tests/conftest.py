@@ -10,7 +10,7 @@ import pytest
 
 from ticket.blueprint import Blueprint, app, leaf, make_blueprint, star
 from ticket.formula import Atom, Formula, Imp, parse_formula
-from ticket.oracle import SearchBound, _grow
+from ticket.oracle import SearchBound, _levels
 from ticket.terms import Term
 
 SEED = int(os.environ.get("TICKET_SEED", "0"))
@@ -37,12 +37,15 @@ def _build_pools() -> tuple[list[tuple[Term, Formula]], list[tuple[Term, Formula
     open_pool: list[tuple[Term, Formula]] = []
     closed_pool: list[tuple[Term, Formula]] = []
     for phi in POOL_FORMULAS:
-        by_size = _grow(phi, SearchBound(max_nodes=9))
-        for states in by_size.values():
+        # sizes 1-9 at bound 18: a term of at most 9 nodes has at most 9 free
+        # variables, so the oracle prunes none of them
+        for size, states in _levels(phi, SearchBound(max_nodes=18)):
             for st in states:
                 open_pool.append((st.term, st.term_type))
                 if not st.free_types:
                     closed_pool.append((st.term, st.term_type))
+            if size == 9:
+                break
     return open_pool, closed_pool
 
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ticket
 from ticket.cli import main
+
+DEEP = "(" * 1500 + "a->a" + ")" * 1500
 
 
 def run(capsys, *argv):
@@ -34,6 +40,21 @@ def test_decide_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "decide", "a->")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["decide", "check"])
+def test_deep_nesting_fails_closed(command, tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text('{"kind": "I", "type": "a->a"}')
+    argv = [command, DEEP] if command == "decide" else [command, str(path), DEEP]
+    src = os.path.dirname(os.path.dirname(ticket.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ticket.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert "nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_decide_json_schema(capsys):

@@ -118,6 +118,28 @@ def test_json_roundtrip():
     assert derivation_to_json(d2) == data
 
 
+def test_json_parses_each_type_once(monkeypatch):
+    data = derivation_to_json(mp(mp(axiom_b(a, a, a), axiom_i(a)), axiom_i(a)))
+    texts = []
+
+    def walk(node):
+        texts.append(node["type"])
+        for child in node.get("children", []):
+            walk(child)
+
+    walk(data)
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_formula(text)
+
+    monkeypatch.setattr(combinators, "parse_formula", counting)
+    assert derivation_to_json(derivation_from_json(data)) == data
+    assert len(texts) > len(set(texts))
+    assert sorted(calls) == sorted(set(texts))
+
+
 @pytest.mark.parametrize(
     "bad",
     [

@@ -45,6 +45,11 @@ def test_syntax_errors(bad):
         parse_formula(bad)
 
 
+def test_deep_nesting_is_a_syntax_error():
+    with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+        parse_formula("(" * 1500 + "a->a" + ")" * 1500)
+
+
 def test_subformulas():
     phi = parse_formula("(a->b)->a")
     subs = subformulas(phi)

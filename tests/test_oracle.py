@@ -1,8 +1,18 @@
 import pytest
 
+from ticket import oracle
 from ticket.formula import parse_formula
-from ticket.oracle import Inhabited, SearchBound, Unknown, bounded_decide, enumerate_inhabitants
+from ticket.oracle import (
+    Inhabited,
+    SearchBound,
+    Unknown,
+    _levels,
+    bounded_decide,
+    enumerate_inhabitants,
+)
 from ticket.terms import is_nf_inhabitant, node_count, print_term
+
+from conftest import formula_corpus
 
 
 def test_identity_smallest():
@@ -41,3 +51,38 @@ def test_bounded_decide_unknown_on_empty(text):
 def test_bound_validation():
     with pytest.raises(ValueError):
         SearchBound(max_nodes=0)
+
+
+def test_bounded_decide_stops_at_first_inhabited_size(monkeypatch):
+    phi = parse_formula("((b->a)->b->a)->(b->a)->b->a")
+    bound = SearchBound(max_nodes=10)
+    calls = []
+    real = oracle.alpha_canonical
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(oracle, "alpha_canonical", counting)
+    res = bounded_decide(phi, bound)
+    decided = len(calls)
+    hits = enumerate_inhabitants(phi, bound)
+    enumerated = len(calls) - decided
+    assert isinstance(res, Inhabited)
+    assert res.witness == hits[0]
+    assert node_count(res.witness) == 2
+    assert decided < enumerated
+
+
+def test_pruning_loses_no_closed_term():
+    # at bound 2n no term of at most n nodes is pruned: it has at most n
+    # free variables, so the unpruned reference is sizes 1..n at bound 2n
+    n = 7
+    for phi in formula_corpus():
+        reference = []
+        for size, states in _levels(phi, SearchBound(max_nodes=2 * n)):
+            closed = [st.term for st in states if not st.free_types and st.term_type == phi]
+            reference.extend(sorted(closed, key=print_term))
+            if size == n:
+                break
+        assert enumerate_inhabitants(phi, SearchBound(max_nodes=n)) == reference
