@@ -10,6 +10,10 @@ Subcommands:
                    auto engine the bounded and shadow verdicts are cross
                    checked; exit 0 iff no disagreement, 2 on bad input
 
+Any command that fails with an unexpected exception prints one
+`error: internal: ...` line on stderr and exits 4, so that a crash is never
+read as a verdict.
+
 JSON output is deterministic: identical input and configuration produce
 byte-identical bytes (wall-clock time is reported only in text mode).
 """
@@ -34,6 +38,7 @@ EXIT_INHABITED = 0
 EXIT_EMPTY = 1
 EXIT_ERROR = 2
 EXIT_EXHAUSTED = 3
+EXIT_INTERNAL = 4
 
 _VERDICT_EXIT = {
     "Inhabited": EXIT_INHABITED,
@@ -247,7 +252,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage already; normalize other codes
         return EXIT_ERROR if exc.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

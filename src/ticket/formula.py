@@ -30,10 +30,30 @@ class Atom:
         return f"Atom({self.name})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Imp:
+    """An arrow. Its hash is the dataclass's own, hash((antecedent,
+    consequent)), computed once at construction: formulas are hashed at
+    every memo and set lookup of the search, and a deep formula's hash would
+    otherwise recurse through its whole tree. The constructor writes the
+    attributes directly: the frozen dataclass's `object.__setattr__` per
+    field plus a `__post_init__` would cost half as much again per arrow."""
+
     antecedent: "Formula"
     consequent: "Formula"
+
+    def __init__(self, antecedent: "Formula", consequent: "Formula") -> None:
+        attrs = self.__dict__
+        attrs["antecedent"] = antecedent
+        attrs["consequent"] = consequent
+        attrs["_hash"] = hash((antecedent, consequent))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so the cache is not pickled
+        return (Imp, (self.antecedent, self.consequent))
 
     def __repr__(self) -> str:
         return f"Imp({self.antecedent!r}, {self.consequent!r})"

@@ -21,6 +21,7 @@ inhabitant satisfies these, so no inhabited domain is lost.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -169,38 +170,31 @@ def _patterns(length: int, max_classes: int):
     yield from go([], 0)
 
 
-@dataclass
-class _Feasibility:
-    gamma: Blueprint | None
-    exact: bool
-
-
-def _feasible_gamma(
+def _feasible_tags(
     chi: tuple[Formula, ...],
     constraints: frozenset[tuple[Formula, ...]],
     subs: list[Formula],
     pattern_cap: int,
-) -> _Feasibility:
-    """Some blueprint gamma with chi in F(gamma), labels over the signature of
-    subs, and no constraint sequence in the union of F over gamma's graft
-    closure; None if provably impossible (exact) or not found (inexact)."""
+) -> tuple[tuple[Formula, ...] | None, bool]:
+    """Spine tags, over subs, of a comb (see `_comb`) with chi in its F and no
+    constraint sequence in the union of F over its graft closure, and whether
+    the answer is exact. The tags are None if no such comb exists (exact) or
+    none was found within pattern_cap tag patterns (inexact)."""
     n = len(chi)
     if constraints & contraction_closure(frozenset({chi})):
         # every admissible gamma has F containing all contractions of chi
-        return _Feasibility(None, True)
+        return None, True
     s = len(subs)
     if n - 1 <= s:
-        tags = tuple(subs[: max(0, n - 1)])
-        return _Feasibility(_comb(chi, tags), True)
+        return tuple(subs[: max(0, n - 1)]), True
     count = 0
     for pattern in _patterns(n - 1, s):
         count += 1
         if count > pattern_cap:
-            return _Feasibility(None, False)
+            return None, False
         if not (_comb_universe(chi, pattern) & constraints):
-            tags = tuple(subs[c] for c in pattern)
-            return _Feasibility(_comb(chi, tags), True)
-    return _Feasibility(None, False)
+            return tuple(subs[c] for c in pattern), True
+    return None, False
 
 
 def _witness_gamma(chi: tuple[Formula, ...], subs: list[Formula]) -> Blueprint:
@@ -281,33 +275,43 @@ def is_compact_shadow(x: Shadow) -> bool:
 
 @dataclass(frozen=True)
 class Caps:
+    """Limits of the shadow search. `max_shadow_nodes` bounds the length of a
+    node's ancestor history (`len(hist)`, the depth), and `max_shadows` the
+    number of memo entries; tripping either clears `complete`.
+    `max_label_candidates` bounds the spine-tag patterns one feasibility test
+    tries; running out clears `exact`."""
+
     max_shadows: int = 200_000
     max_shadow_nodes: int = 40
     max_label_candidates: int = 20_000
 
 
-def _chi_split_positions(chi: tuple[Formula, ...]):
-    """All (chi1, pos1, chi2, pos2) a binary node can induce: each position of
-    chi goes to the function side, the argument side or both; the rightmost
-    function-side position must be covered on the argument side as well (the
-    HRM application condition). pos1 and pos2 are the 1-based positions of
-    each side in chi, as needed to rebuild an application term."""
+def _fn_sides(chi: tuple[Formula, ...]) -> list[tuple[tuple[Formula, ...], list[tuple[int, ...]]]]:
+    """The free types a binary node with free types chi can pass to its
+    function side: each distinct subsequence chi1 of chi, with the 1-based
+    position tuples pos1 in chi that select it."""
     r = len(chi)
+    sides: dict[tuple[Formula, ...], list[tuple[int, ...]]] = {}
+    for chosen in itertools.product((False, True), repeat=r):
+        pos1 = tuple(i + 1 for i in range(r) if chosen[i])
+        sides.setdefault(tuple(chi[p - 1] for p in pos1), []).append(pos1)
+    return list(sides.items())
+
+
+@functools.cache
+def _arg_positions(r: int, pos1: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The argument-side positions pos2 that go with function-side positions
+    pos1 out of 1..r: every position pos1 leaves out, plus any subset of pos1
+    (a variable used on both sides). The last function-side position must be
+    covered on the argument side as well (the HRM application condition)."""
+    rest = tuple(p for p in range(1, r + 1) if p not in pos1)
     out = []
-    for assign in itertools.product("LRB", repeat=r):
-        pos1 = tuple(i + 1 for i in range(r) if assign[i] in "LB")
-        pos2 = tuple(i + 1 for i in range(r) if assign[i] in "RB")
+    for shared in itertools.product((False, True), repeat=len(pos1)):
+        pos2 = tuple(sorted(rest + tuple(p for p, s in zip(pos1, shared) if s)))
         if pos1 and (not pos2 or pos1[-1] > pos2[-1]):
             continue
-        out.append(
-            (
-                tuple(chi[p - 1] for p in pos1),
-                pos1,
-                tuple(chi[p - 1] for p in pos2),
-                pos2,
-            )
-        )
-    return out
+        out.append(pos2)
+    return tuple(out)
 
 
 @dataclass
@@ -325,9 +329,16 @@ class _Solver:
     complete: bool = True
     exact: bool = True
     expanded: int = 0
+    # psi -> [(psi2, psi2 -> psi)] over the arrows psi2 -> psi in subs
+    fn_types: dict = field(default_factory=dict)
+    # chi -> _fn_sides(chi)
+    fn_sides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.subs = sorted(subformulas(self.phi), key=formula_sort_key)
+        for f in self.subs:
+            if isinstance(f, Imp):
+                self.fn_types.setdefault(f.consequent, []).append((f.antecedent, f))
 
     def solve(self) -> tuple[Term, ...]:
         return self.sols((), self.phi, 0, frozenset(), False)
@@ -346,7 +357,8 @@ class _Solver:
         never an abstraction (the term would have a redex), so that branch is
         skipped outright there. Every step adds a new (arity, psi, chi) entry
         to hist (a repeated entry fails feasibility), so len(hist) is the
-        depth."""
+        depth. An application's argument side is searched only for the
+        function sides that have solutions."""
         key = (chi, psi, k, hist, fn_position)
         if key in self.memo:
             return self.memo[key]
@@ -358,32 +370,34 @@ class _Solver:
         if chi == (psi,):
             out.append(Var(VarRef(1, psi)))
         if isinstance(psi, Imp) and len(chi) < k + 1 and not fn_position:
-            if self._feasible(chi, 1, psi, hist) is not None:
+            if self._tags(chi, 1, psi, hist) is not None:
                 child_hist = hist | {(1, psi, chi)}
                 binder = VarRef(len(chi) + 1, psi.antecedent)
                 for t in self.sols(
                     chi + (psi.antecedent,), psi.consequent, k + 1, child_hist, False
                 ):
                     out.append(Lam(binder, t))
-        if self._feasible(chi, 2, psi, hist) is not None:
+        if self._tags(chi, 2, psi, hist) is not None:
             child_hist = hist | {(2, psi, chi)}
             r = len(chi)
-            splits = _chi_split_positions(chi)
-            for psi2 in self.subs:
-                fn_type = Imp(psi2, psi)
-                if fn_type not in self.subs:
-                    continue
-                for chi1, pos1, chi2, pos2 in splits:
+            sides = self.fn_sides.get(chi)
+            if sides is None:
+                sides = self.fn_sides[chi] = _fn_sides(chi)
+            for psi2, fn_type in self.fn_types.get(psi, ()):
+                for chi1, fn_positions in sides:
                     sols1 = self.sols(chi1, fn_type, k, child_hist, True)
                     if not sols1:
                         continue
-                    sols2 = self.sols(chi2, psi2, k, child_hist, False)
-                    for t1 in sols1:
-                        for t2 in sols2:
-                            left = _rerank_free(t1, chi1, pos1, r)
-                            lb = {ref.rank for ref in bound_refs(left)}
-                            right = _rerank_free(t2, chi2, pos2, r + len(lb))
-                            out.append(alpha_canonical(App(left, right)))
+                    for pos1 in fn_positions:
+                        for pos2 in _arg_positions(r, pos1):
+                            chi2 = tuple(chi[p - 1] for p in pos2)
+                            sols2 = self.sols(chi2, psi2, k, child_hist, False)
+                            for t1 in sols1:
+                                for t2 in sols2:
+                                    left = _rerank_free(t1, chi1, pos1, r)
+                                    lb = {ref.rank for ref in bound_refs(left)}
+                                    right = _rerank_free(t2, chi2, pos2, r + len(lb))
+                                    out.append(alpha_canonical(App(left, right)))
         result = tuple(
             sorted(set(out), key=lambda t: (node_count(t), print_term(t)))
         )
@@ -393,16 +407,17 @@ class _Solver:
             self.complete = False
         return result
 
-    def _feasible(
+    def _tags(
         self, chi: tuple[Formula, ...], arity: int, psi: Formula, hist: frozenset
-    ) -> Blueprint | None:
-        """A comb gamma for a node labelled (arity, psi, chi) below the given
-        ancestor history, or None; a None that is not a proof clears exact."""
+    ) -> tuple[Formula, ...] | None:
+        """Spine tags of a comb gamma for a node labelled (arity, psi, chi)
+        below the given ancestor history, or None when the node is not
+        feasible; a None that is not a proof clears exact."""
         constraints = frozenset(c for (r, p, c) in hist if r == arity and p == psi)
-        feas = _feasible_gamma(chi, constraints, self.subs, self.caps.max_label_candidates)
-        if feas.gamma is None and not feas.exact:
+        tags, exact = _feasible_tags(chi, constraints, self.subs, self.caps.max_label_candidates)
+        if not exact:
             self.exact = False
-        return feas.gamma
+        return tags
 
 
 # --- shadows derived from the solver, for the lemma checks -----------------
@@ -419,8 +434,9 @@ def _solution_shadow(solver: _Solver, m: Term) -> Shadow:
     """The shadow the solver's search gave the solution m: walking m top-down
     with the ancestor history, each node is labelled with its free types in
     rank order (chi), its type (psi) and a canonical comb gamma: the
-    unconstrained witness at a leaf, the feasibility comb that admitted the
-    node elsewhere."""
+    unconstrained witness at a leaf, elsewhere the comb on the spine tags
+    whose feasibility test admitted the node. Only here are the combs built;
+    the search itself keeps no blueprint."""
     mapping: dict[Address, ShadowLabel] = {}
     stack: list[tuple[Address, Term, frozenset]] = [((), m, frozenset())]
     while stack:
@@ -431,9 +447,9 @@ def _solution_shadow(solver: _Solver, m: Term) -> Shadow:
             mapping[a] = ShadowLabel(chi, _witness_gamma(chi, solver.subs), psi)
             continue
         arity = 1 if isinstance(t, Lam) else 2
-        gamma = solver._feasible(chi, arity, psi, hist)
-        assert gamma is not None, "the solver admitted this node"
-        mapping[a] = ShadowLabel(chi, canonicalize(gamma), psi)
+        tags = solver._tags(chi, arity, psi, hist)
+        assert tags is not None, "the solver admitted this node"
+        mapping[a] = ShadowLabel(chi, canonicalize(_comb(chi, tags)), psi)
         child_hist = hist | {(arity, psi, chi)}
         if isinstance(t, Lam):
             stack.append((a + (1,), t.body, child_hist))

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 import ticket
-from ticket.cli import main
+import ticket.cli
+from ticket.cli import EXIT_INTERNAL, main
 
 DEEP = "(" * 1500 + "a->a" + ")" * 1500
 
@@ -55,6 +56,36 @@ def test_deep_nesting_fails_closed(command, tmp_path):
     assert proc.returncode == 2
     assert "nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_crash_fails_closed():
+    # 400 right-nested arrows parse, then overflow the recursion limit in the
+    # shadow search (formula equality); the auto engine reaches the same
+    # search after its bounded search, only slower
+    deep = "->".join(["a"] * 401)
+    src = os.path.dirname(os.path.dirname(ticket.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ticket.cli", "decide", deep, "--engine", "shadow"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == EXIT_INTERNAL == 4
+    assert proc.stderr.startswith("error: internal: RecursionError")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_unexpected_exception_exits_internal(capsys, monkeypatch):
+    def boom(phi, config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ticket.cli, "decide", boom)
+    code, out, err = run(capsys, "decide", "a->a", "--json")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "error: internal: RuntimeError: boom\n"
 
 
 def test_decide_json_schema(capsys):

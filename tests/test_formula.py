@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from ticket.formula import (
@@ -75,3 +78,26 @@ def test_sort_key_total_order():
     ordered = sorted(phis, key=formula_sort_key)
     assert sorted(ordered, key=formula_sort_key) == ordered
     assert len({formula_sort_key(p) for p in phis}) == len(phis)
+
+
+def test_imp_hash_is_the_field_tuple_hash():
+    x, y = parse_formula("a->b"), Atom("c")
+    assert hash(Imp(x, y)) == hash((x, y))
+
+
+def test_imp_equality_and_repr_ignore_the_hash_cache():
+    f, g = Imp(Atom("a"), Atom("b")), parse_formula("a->b")
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f != Imp(Atom("b"), Atom("a"))
+    assert repr(f) == "Imp(Atom(a), Atom(b))"
+    assert [fl.name for fl in dataclasses.fields(Imp)] == ["antecedent", "consequent"]
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy == f and hash(copy) == hash(f)
+
+
+def test_deep_formula_hashes():
+    f = Atom("a")
+    for _ in range(5000):
+        f = Imp(Atom("a"), f)
+    assert hash(f) == hash((Atom("a"), f.consequent))
+    assert f in {f}

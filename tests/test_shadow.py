@@ -1,11 +1,19 @@
+import itertools
+
 import pytest
 
+import ticket.shadow
+from ticket.blueprint import f_of
 from ticket.combinators import check_derivation
 from ticket.formula import parse_formula
 from ticket.oracle import SearchBound, enumerate_inhabitants
 from ticket.shadow import (
     Caps,
     DecideConfig,
+    _arg_positions,
+    _fn_sides,
+    _patterns,
+    _Solver,
     decide,
     enumerate_compact_shadows,
     inhabitant_with_domain,
@@ -144,3 +152,95 @@ def test_caps_resource_exhaustion():
     phi = parse_formula("(x->y)->((p->x)->(p->y))")
     d = decide(phi, DecideConfig(engine="shadow", caps=Caps(max_shadow_nodes=2)))
     assert d.verdict == "ResourceExhausted"
+
+
+def _product_splits(chi):
+    """Reference split: each position of chi goes to the function side (L),
+    the argument side (R) or both (B), and the last function-side position
+    must also be on the argument side."""
+    r = len(chi)
+    out = []
+    for assign in itertools.product("LRB", repeat=r):
+        pos1 = tuple(i + 1 for i in range(r) if assign[i] in "LB")
+        pos2 = tuple(i + 1 for i in range(r) if assign[i] in "RB")
+        if pos1 and (not pos2 or pos1[-1] > pos2[-1]):
+            continue
+        out.append((tuple(chi[p - 1] for p in pos1), pos1, tuple(chi[p - 1] for p in pos2), pos2))
+    return out
+
+
+def _two_stage_splits(chi):
+    sides = _fn_sides(chi)
+    assert len({chi1 for chi1, _ in sides}) == len(sides)
+    assert sum(len(fn_positions) for _, fn_positions in sides) == 2 ** len(chi)
+    return [
+        (chi1, pos1, tuple(chi[p - 1] for p in pos2), pos2)
+        for chi1, fn_positions in sides
+        for pos1 in fn_positions
+        for pos2 in _arg_positions(len(chi), pos1)
+    ]
+
+
+def test_two_stage_split_matches_product():
+    # a split depends only on which positions of chi hold equal types, so one
+    # chi per equality pattern stands for every chi over three atoms
+    atoms = [Atom("a"), Atom("b"), Atom("c")]
+    checked = 0
+    for r in range(7):
+        for pattern in _patterns(r, 3):
+            chi = tuple(atoms[c] for c in pattern)
+            two_stage = _two_stage_splits(chi)
+            assert len(set(two_stage)) == len(two_stage)
+            assert set(two_stage) == set(_product_splits(chi))
+            checked += 1
+    assert checked == 1 + 1 + 2 + 5 + 14 + 41 + 122
+
+
+PEIRCE = "((a->b)->a)->a"
+C = "(a->b->c)->b->a->c"
+
+
+@pytest.mark.parametrize("text", [C, PEIRCE])
+def test_search_builds_no_blueprint(text, monkeypatch):
+    calls = []
+    comb = ticket.shadow._comb
+    monkeypatch.setattr(ticket.shadow, "_comb", lambda *args: calls.append(args) or comb(*args))
+    assert _Solver(parse_formula(text), Caps()).solve() == ()
+    assert calls == []
+
+
+def test_enumerated_shadows_label_inner_nodes_with_combs():
+    enum = enumerate_compact_shadows(parse_formula("(a->a->b)->a->b"))
+    assert enum.shadows
+    for x in enum.shadows:
+        leaves = set(x.leaves())
+        for addr, label in x.entries:
+            if addr in leaves:
+                continue
+            # a comb over n leaves has n - 1 application nodes
+            assert len(label.gamma) == max(0, 2 * len(label.chi_seq) - 1)
+            assert label.chi_seq in f_of(label.gamma)
+
+
+# the search visits the same memo keys whatever order its loops take, so these
+# counts must not move when the loops are reordered or made cheaper
+@pytest.mark.parametrize(
+    "text,expanded,witnesses",
+    [
+        ("a->b->a", 18, 0),
+        (C, 162, 0),
+        (PEIRCE, 12, 0),
+        ("(a->c)->(c->(b->a)->a)->c->a", 4597, 0),
+        ("(c->b->c)->(b->b)->b->c->c", 3485, 0),
+        ("(a->a->b)->a->b", 35, 1),
+        ("(b->c)->(a->b)->a->c", 144, 1),
+    ],
+)
+def test_shadow_search_stats_are_pinned(text, expanded, witnesses):
+    stats = decide(parse_formula(text), DecideConfig(engine="shadow")).stats
+    assert {k: stats[k] for k in ("expanded", "memo_entries", "witnesses")} == {
+        "expanded": expanded,
+        "memo_entries": expanded,
+        "witnesses": witnesses,
+    }
+    assert stats["closure_complete"] and stats["closure_exact"]
