@@ -9,6 +9,8 @@ Subpackages:
 - shadow: compact-shadow search (_Solver), decide, and shadows derived from
   it for the lemma checks
 - oracle: independent brute-force inhabitant enumeration
+- countermodel: 3-valued matrices that refute non-theorems, with a
+  checkable countermodel for Empty
 - cli: command-line front end
 """
 

@@ -2,20 +2,28 @@
 
 Subcommands:
   decide FORMULA   decide inhabitation; exit 0 Inhabited, 1 Empty,
-                   3 ResourceExhausted, 2 parse/config error
-  check CERT.json FORMULA
-                   verify a combinator certificate against a formula;
-                   exit 0 valid, 1 invalid, 2 malformed input
+                   3 ResourceExhausted, 2 parse/config error. The auto
+                   engine runs the bounded oracle, then the 3-valued
+                   countermodel search, then the shadow engine
+  check FILE.json FORMULA
+                   verify a combinator certificate, or a countermodel (an
+                   object with table, designated and assignment, as in the
+                   `countermodel` key of `decide --json`), against a
+                   formula; exit 0 valid, 1 invalid or for another
+                   formula, 2 malformed input
   corpus FILE      decide every formula in FILE (one per line); with the
-                   auto engine the bounded and shadow verdicts are cross
-                   checked; exit 0 iff no disagreement, 2 on bad input
+                   auto engine the bounded and shadow verdicts and the
+                   countermodel search are cross checked, and a shadow
+                   Empty without a countermodel is flagged no-countermodel;
+                   exit 0 iff no disagreement, 2 on bad input
 
 Any command that fails with an unexpected exception prints one
 `error: internal: ...` line on stderr and exits 4, so that a crash is never
 read as a verdict.
 
 JSON output is deterministic: identical input and configuration produce
-byte-identical bytes (wall-clock time is reported only in text mode).
+byte-identical bytes (wall-clock time is reported only in text mode). The
+`countermodel` key is null or an object with sorted keys.
 """
 from __future__ import annotations
 
@@ -30,8 +38,15 @@ from .combinators import (
     derivation_from_json,
     derivation_to_json,
 )
+from .countermodel import (
+    CountermodelError,
+    CountermodelFormatError,
+    check_countermodel,
+    countermodel_from_json,
+    countermodel_to_json,
+)
 from .formula import FormulaSyntaxError, parse_formula, print_formula
-from .shadow import Caps, DecideConfig, Decision, decide
+from .shadow import Caps, DecideConfig, Decision, decide, refute
 from .terms import print_term
 
 EXIT_INHABITED = 0
@@ -91,6 +106,9 @@ def _decision_payload(phi, d: Decision, config: DecideConfig, emit: str) -> dict
             if d.witness_combinator is not None and emit in ("combinator", "both")
             else None
         ),
+        "countermodel": (
+            countermodel_to_json(d.countermodel) if d.countermodel is not None else None
+        ),
         "stats": stats,
         "caps": {
             "engine": config.engine,
@@ -108,6 +126,9 @@ def _print_decision_text(phi, d: Decision, emit: str, trace: bool) -> None:
         print(f"  witness: {print_term(d.witness_lambda)}")
     if d.witness_combinator is not None and emit in ("combinator", "both"):
         print(f"  certificate: {json.dumps(derivation_to_json(d.witness_combinator))}")
+    if d.countermodel is not None:
+        cm = json.dumps(countermodel_to_json(d.countermodel), sort_keys=True)
+        print(f"  countermodel: {cm}")
     if trace:
         for k in sorted(d.stats):
             print(f"  # {k} = {d.stats[k]}", file=sys.stderr)
@@ -141,6 +162,8 @@ def cmd_check(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if isinstance(data, dict) and "table" in data:
+        return _check_countermodel(data, phi)
     try:
         derivation = derivation_from_json(data)
         derived = check_derivation(derivation)
@@ -155,6 +178,19 @@ def cmd_check(args) -> int:
         )
         return EXIT_EMPTY
     print(f"valid certificate for {print_formula(phi)}")
+    return EXIT_INHABITED
+
+
+def _check_countermodel(data, phi) -> int:
+    try:
+        check_countermodel(countermodel_from_json(data), phi)
+    except CountermodelFormatError as exc:
+        print(f"error: malformed countermodel: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except CountermodelError as exc:
+        print(f"invalid countermodel: {exc}", file=sys.stderr)
+        return EXIT_EMPTY
+    print(f"valid countermodel for {print_formula(phi)}")
     return EXIT_INHABITED
 
 
@@ -190,20 +226,31 @@ def cmd_corpus(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    disagreements = 0
+    disagreements = unrefuted = 0
     for _, phi in formulas:
         verdicts = {
             name: _decide_with_budget(phi, cfg, args.time_budget).verdict
             for name, cfg in configs.items()
         }
+        if args.engine == "auto":
+            verdicts["countermodel"] = "none" if refute(phi) is None else "Empty"
         # bounded never claims Empty, so the only hard conflict is
-        # Inhabited on one engine against Empty on the other
+        # Inhabited on one engine against Empty from the shadow engine or a
+        # countermodel. A shadow Empty without a countermodel is no
+        # conflict: T-> may lack the finite model property.
         conflict = "Inhabited" in verdicts.values() and "Empty" in verdicts.values()
         disagreements += conflict
-        cells = "  ".join(f"{name}={verdicts[name]}" for name in engines)
-        flag = "  DISAGREE" if conflict else ""
-        print(f"{print_formula(phi)}  {cells}{flag}")
-    print(f"# {len(formulas)} formulas, {disagreements} disagreements")
+        unrefuted_here = verdicts.get("countermodel") == "none" and verdicts["shadow"] == "Empty"
+        unrefuted += unrefuted_here
+        cells = "  ".join(f"{name}={verdict}" for name, verdict in verdicts.items())
+        flags = ("  DISAGREE" if conflict else "") + (
+            "  no-countermodel" if unrefuted_here else ""
+        )
+        print(f"{print_formula(phi)}  {cells}{flags}")
+    summary = f"# {len(formulas)} formulas, {disagreements} disagreements"
+    if args.engine == "auto":
+        summary += f", {unrefuted} no-countermodel"
+    print(summary)
     return EXIT_INHABITED if disagreements == 0 else EXIT_EMPTY
 
 

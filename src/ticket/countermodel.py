@@ -1,0 +1,260 @@
+"""Countermodels: finite matrices that refute non-theorems of T->.
+
+A 3-valued matrix is a table for the arrow on the values 0, 1, 2 (entry
+3x + y is the value of x -> y) together with a designated set. When every
+assignment designates the axioms B, B', I and W, and the designated set is
+closed under modus ponens (x and x -> y designated make y designated), the
+matrix designates every theorem of T->. A formula that it fails to designate
+under some assignment is then no theorem: table, designated set and
+assignment form a certificate of Empty, which `check_countermodel`
+re-verifies from its parts. This is the matrix method of Anderson and
+Belnap (Entailment, vol. 1).
+
+`MATRICES` holds one such matrix per isomorphism class under permutations
+of the values: 75 classes of the 441 matrices, each the first of its class
+in the order in which `search_matrices` generates them. The table is stored
+as text so that importing this module costs little; `search_matrices`
+regenerates it in about half a second.
+"""
+from __future__ import annotations
+
+import functools
+import itertools
+from dataclasses import dataclass
+
+from .formula import Atom, Formula, parse_formula, print_formula
+
+VALUES = (0, 1, 2)
+
+# Only formulas with at most this many distinct atoms are searched: a matrix
+# is tried on all 3**n assignments at once.
+MAX_ATOMS = 6
+
+# One matrix a word: the 9 table entries, a slash, the designated values.
+_TABLE = """
+002002000/01 002002001/01 002002010/01 002002011/01 002002100/01 002002101/01
+002002110/01 002002111/01 002012000/01 002012001/01 002012010/01 002012011/01
+002012100/01 002012101/01 002012110/01 002012111/01 002102000/01 002102001/01
+002102010/01 002102011/01 002102100/01 002102101/01 002102110/01 002102111/01
+002112000/01 002112001/01 002112010/01 002112100/01 002202000/01 011000000/0
+011000010/0 011000010/02 011000012/02 011000110/0 011000110/02 012000000/0
+012000010/0 012000010/02 012000012/02 012000210/02 012002001/01 012002010/0
+012002010/01 012002011/01 012002012/02 012002100/01 012002101/01 012002110/01
+012002111/01 012002210/02 012012001/01 012012100/01 012020210/02 012022210/02
+012102100/01 012102101/01 012102110/01 012102111/01 021000000/0 102002000/01
+102002001/01 102002010/01 102002011/01 102002100/01 102002101/01 102002110/01
+102002111/01 102102000/01 102102001/01 102102010/01 102102100/01 111022011/12
+112002001/01 112002010/01 112002100/01
+"""
+
+MATRICES: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = tuple(
+    (tuple(map(int, table)), tuple(map(int, designated)))
+    for table, designated in (word.split("/") for word in _TABLE.split())
+)
+
+
+class CountermodelError(Exception):
+    """A countermodel that does not refute the formula it is checked
+    against."""
+
+
+class CountermodelFormatError(CountermodelError):
+    """Countermodel JSON that does not have the expected shape."""
+
+
+@dataclass(frozen=True)
+class Countermodel:
+    table: tuple[int, ...]
+    designated: tuple[int, ...]
+    assignment: tuple[tuple[str, int], ...]  # (atom name, value), by name
+
+
+Program = tuple[tuple[str, ...], tuple[tuple[int, int], ...]]
+
+
+def _program(phi: Formula) -> Program:
+    """phi as a straight-line program. Its atom names, sorted, take slots
+    0..n-1; each distinct arrow, after its two sides, takes the next slot
+    and is listed as the slots of its antecedent and consequent. The last
+    slot holds phi. Iterative, so depth is no limit."""
+    names: set[str] = set()
+    arrows: list[Formula] = []
+    slot: dict[Formula, int] = {}
+    stack: list[tuple[Formula, bool]] = [(phi, False)]
+    while stack:
+        f, ready = stack.pop()
+        if isinstance(f, Atom):
+            names.add(f.name)
+        elif f not in slot:
+            if ready:
+                slot[f] = len(arrows)
+                arrows.append(f)
+            else:
+                stack += [(f, True), (f.consequent, False), (f.antecedent, False)]
+    atoms = tuple(sorted(names))
+    n = len(atoms)
+    where = {name: i for i, name in enumerate(atoms)}
+
+    def slot_of(f: Formula) -> int:
+        return where[f.name] if isinstance(f, Atom) else n + slot[f]
+
+    ops = tuple((slot_of(f.antecedent), slot_of(f.consequent)) for f in arrows)
+    return atoms, ops
+
+
+@functools.cache
+def _grid(n: int) -> tuple[tuple[int, ...], ...]:
+    """All 3**n assignments of n atoms in lexicographic order, one column
+    per atom."""
+    rows = list(itertools.product(VALUES, repeat=n))
+    return tuple(tuple(row[i] for row in rows) for i in range(n))
+
+
+def _values(table: tuple[int, ...], ops, columns) -> list[int]:
+    """The value of the program's last slot on each row, given the columns
+    of its atom slots."""
+    cols = list(columns)
+    for left, right in ops:
+        cols.append([table[3 * x + y] for x, y in zip(cols[left], cols[right])])
+    return cols[-1]
+
+
+def _first_undesignated(table, designated, program: Program) -> int | None:
+    """The first assignment (a row of `_grid`) under which the program's
+    formula is undesignated, or None when the matrix validates it."""
+    atoms, ops = program
+    for row, value in enumerate(_values(table, ops, _grid(len(atoms)))):
+        if value not in designated:
+            return row
+    return None
+
+
+AXIOMS: tuple[tuple[str, Program], ...] = tuple(
+    (name, _program(parse_formula(text)))
+    for name, text in (
+        ("I", "x->x"),
+        ("W", "(x->x->y)->x->y"),
+        ("B'", "(x->y)->(y->z)->x->z"),
+        ("B", "(y->z)->(x->y)->x->z"),
+    )
+)
+
+
+def _mp_closed(table, designated) -> bool:
+    return all(
+        y in designated
+        for x in designated
+        for y in VALUES
+        if table[3 * x + y] in designated
+    )
+
+
+def _is_model(table, designated) -> bool:
+    return _mp_closed(table, designated) and all(
+        _first_undesignated(table, designated, axiom) is None for _, axiom in AXIOMS
+    )
+
+
+def _permuted(table, designated, p) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The matrix with every value v renamed p[v]."""
+    out = [0] * 9
+    for x, y in itertools.product(VALUES, repeat=2):
+        out[3 * p[x] + p[y]] = p[table[3 * x + y]]
+    return tuple(out), tuple(sorted(p[v] for v in designated))
+
+
+def all_matrices():
+    """Every matrix on 3 values with a nonempty, proper designated set that
+    is closed under modus ponens and validates B, B', I and W, in
+    generation order: tables lexicographically, then designated sets by
+    size, then lexicographically."""
+    designated_sets = [d for r in (1, 2) for d in itertools.combinations(VALUES, r)]
+    for table in itertools.product(VALUES, repeat=9):
+        for designated in designated_sets:
+            if _is_model(table, designated):
+                yield table, designated
+
+
+def search_matrices() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The first matrix of each isomorphism class of `all_matrices`, in
+    generation order: the contents of `MATRICES`."""
+    out, seen = [], set()
+    for matrix in all_matrices():
+        if matrix in seen:
+            continue
+        out.append(matrix)
+        seen.update(_permuted(*matrix, p) for p in itertools.permutations(VALUES))
+    return tuple(out)
+
+
+def countermodel(phi: Formula) -> Countermodel | None:
+    """The first matrix of `MATRICES` and the first assignment under which
+    phi is undesignated, or None when every matrix validates phi or phi has
+    more than MAX_ATOMS distinct atoms."""
+    program = _program(phi)
+    atoms = program[0]
+    if len(atoms) > MAX_ATOMS:
+        return None
+    grid = _grid(len(atoms))
+    for table, designated in MATRICES:
+        row = _first_undesignated(table, designated, program)
+        if row is not None:
+            assignment = tuple((name, column[row]) for name, column in zip(atoms, grid))
+            return Countermodel(table, designated, assignment)
+    return None
+
+
+def check_countermodel(cm: Countermodel, phi: Formula) -> None:
+    """Re-verify cm from its parts: its designated set is nonempty, proper
+    and closed under modus ponens, its table validates B, B', I and W under
+    every assignment, and phi is undesignated under its assignment. Raises
+    CountermodelError naming the first check that fails."""
+    table, designated = cm.table, cm.designated
+    if not 0 < len(designated) < len(VALUES):
+        raise CountermodelError("the designated set must be nonempty and proper")
+    if not _mp_closed(table, designated):
+        raise CountermodelError("the designated set is not closed under modus ponens")
+    for name, axiom in AXIOMS:
+        if _first_undesignated(table, designated, axiom) is not None:
+            raise CountermodelError(f"the table does not validate {name}")
+    atoms, ops = _program(phi)
+    env = dict(cm.assignment)
+    for name in atoms:
+        if name not in env:
+            raise CountermodelError(f"the assignment gives no value to {name}")
+    (value,) = _values(table, ops, [[env[name]] for name in atoms])
+    if value in designated:
+        raise CountermodelError(f"{print_formula(phi)} is designated under the assignment")
+
+
+def countermodel_to_json(cm: Countermodel) -> dict:
+    return {
+        "table": list(cm.table),
+        "designated": list(cm.designated),
+        "assignment": dict(cm.assignment),
+    }
+
+
+def _is_value(v) -> bool:
+    return type(v) is int and v in VALUES
+
+
+def countermodel_from_json(data) -> Countermodel:
+    """Parse the form `countermodel_to_json` writes. Raises
+    CountermodelFormatError unless the table is a list of 9 values, the
+    designated set a list of distinct values and the assignment an object
+    from atom names to values."""
+    if not isinstance(data, dict) or not {"table", "designated", "assignment"} <= data.keys():
+        raise CountermodelFormatError("expected an object with table, designated and assignment")
+    table, designated, assignment = data["table"], data["designated"], data["assignment"]
+    if not (isinstance(table, list) and len(table) == 9 and all(map(_is_value, table))):
+        raise CountermodelFormatError("table must be a list of 9 values in 0, 1, 2")
+    if not (
+        isinstance(designated, list)
+        and all(map(_is_value, designated))
+        and len(set(designated)) == len(designated)
+    ):
+        raise CountermodelFormatError("designated must be a list of distinct values in 0, 1, 2")
+    if not (isinstance(assignment, dict) and all(map(_is_value, assignment.values()))):
+        raise CountermodelFormatError("assignment must map atom names to values in 0, 1, 2")
+    return Countermodel(tuple(table), tuple(sorted(designated)), tuple(sorted(assignment.items())))

@@ -90,11 +90,14 @@ def _rerank_free(m: Term, old_free: tuple[Formula, ...], positions: tuple[int, .
 def _levels(phi: Formula, bound: SearchBound) -> Iterator[tuple[int, list[_State]]]:
     """Yield `(size, states)` for sizes 1..max_nodes, each level as soon as it
     is built. Above size 1, a term of `size` nodes with p free variables is
-    built only if size + p <= max_nodes (see the module docstring)."""
+    built only if size + p <= max_nodes (see the module docstring). Each
+    level is also grouped by type, so an application pairs a function only
+    with the arguments of its antecedent type."""
     subs = subformulas(phi)
     span = bound.max_var_rank_span
     limit = bound.max_nodes
     by_size: dict[int, list[_State]] = {}
+    by_type: dict[int, dict[Formula, list[_State]]] = {}
     seen: set[Term] = set()
 
     def add(size: int, term: Term, term_type: Formula) -> None:
@@ -103,15 +106,17 @@ def _levels(phi: Formula, bound: SearchBound) -> Iterator[tuple[int, list[_State
             return
         seen.add(canonical)
         ftypes = tuple(v.var_type for v in free_vars(canonical))
-        by_size[size].append(_State(canonical, term_type, ftypes))
+        st = _State(canonical, term_type, ftypes)
+        by_size[size].append(st)
+        by_type[size].setdefault(term_type, []).append(st)
 
-    by_size[1] = []
+    by_size[1], by_type[1] = [], {}
     for tau in sorted(subs, key=formula_sort_key):
         add(1, Var(VarRef(1, tau)), tau)
     yield 1, by_size[1]
 
     for size in range(2, limit + 1):
-        by_size[size] = []
+        by_size[size], by_type[size] = [], {}
         # abstractions over size-1 bodies: one more node and one fewer free
         # variable keep size + p within the limit, so they need no check
         for st in by_size[size - 1]:
@@ -127,9 +132,7 @@ def _levels(phi: Formula, bound: SearchBound) -> Iterator[tuple[int, list[_State
             for st1 in by_size[s1]:
                 if isinstance(st1.term, Lam) or not isinstance(st1.term_type, Imp):
                     continue
-                for st2 in by_size[s2]:
-                    if st2.term_type != st1.term_type.antecedent:
-                        continue
+                for st2 in by_type[s2].get(st1.term_type.antecedent, ()):
                     for r, pa, pb in _merges(st1.free_types, st2.free_types):
                         if r > span or size + r > limit:
                             continue

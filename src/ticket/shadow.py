@@ -44,6 +44,7 @@ from .blueprint import (
 )
 from .combinators import CombDerivation, extract_combinator
 from .compact import lambda_prefix
+from .countermodel import MATRICES, Countermodel, check_countermodel, countermodel
 from .formula import Formula, Imp, formula_sort_key, subformulas
 from .oracle import (
     SearchBound,
@@ -520,6 +521,7 @@ class Decision:
     witness_lambda: Term | None
     witness_combinator: CombDerivation | None
     stats: dict[str, Any]
+    countermodel: Countermodel | None = None
 
 
 def _inhabited(witness: Term, phi: Formula, stats: dict[str, Any]) -> Decision:
@@ -534,6 +536,17 @@ def _decide_bounded(phi: Formula, config: DecideConfig) -> Decision:
     if isinstance(res, OracleInhabited):
         return _inhabited(res.witness, phi, stats)
     return Decision("ResourceExhausted", None, None, stats)
+
+
+def refute(phi: Formula) -> Decision | None:
+    """Empty with a checked 3-valued countermodel, or None when none is
+    found. A countermodel that fails its check raises CountermodelError."""
+    cm = countermodel(phi)
+    if cm is None:
+        return None
+    check_countermodel(cm, phi)
+    tried = MATRICES.index((cm.table, cm.designated)) + 1
+    return Decision("Empty", None, None, {"engine": "countermodel", "matrices_tried": tried}, cm)
 
 
 def _decide_shadow(phi: Formula, config: DecideConfig) -> Decision:
@@ -556,8 +569,11 @@ def _decide_shadow(phi: Formula, config: DecideConfig) -> Decision:
 
 def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
     """Decide inhabitation of phi. Inhabited verdicts always carry a checked
-    lambda witness and a combinator certificate; Empty is only claimed by the
-    complete shadow engine with no caps tripped."""
+    lambda witness and a combinator certificate. Empty is claimed either
+    with a checked 3-valued countermodel or by the complete shadow engine
+    with no caps tripped. `auto` runs the bounded oracle, then the
+    countermodel search, then the shadow engine, and stops at the first
+    verdict; `shadow` runs the shadow engine alone."""
     t0 = time.monotonic()
     if config.engine == "bounded":
         out = _decide_bounded(phi, config)
@@ -566,6 +582,6 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
     else:
         out = _decide_bounded(phi, config)
         if out.verdict != "Inhabited":
-            out = _decide_shadow(phi, config)
+            out = refute(phi) or _decide_shadow(phi, config)
     out.stats["wall_time"] = time.monotonic() - t0
     return out

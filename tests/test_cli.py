@@ -8,6 +8,7 @@ import pytest
 import ticket
 import ticket.cli
 from ticket.cli import EXIT_INTERNAL, main
+from ticket.shadow import Decision
 
 DEEP = "(" * 1500 + "a->a" + ")" * 1500
 
@@ -60,8 +61,8 @@ def test_deep_nesting_fails_closed(command, tmp_path):
 
 def test_crash_fails_closed():
     # 400 right-nested arrows parse, then overflow the recursion limit in the
-    # shadow search (formula equality); the auto engine reaches the same
-    # search after its bounded search, only slower
+    # shadow search (formula equality); under the auto engine a countermodel
+    # answers Empty before the shadow search
     deep = "->".join(["a"] * 401)
     src = os.path.dirname(os.path.dirname(ticket.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -97,11 +98,13 @@ def test_decide_json_schema(capsys):
         "verdict",
         "witness_lambda",
         "witness_combinator",
+        "countermodel",
         "stats",
         "caps",
     }
     assert payload["verdict"] == "Inhabited"
     assert payload["witness_lambda"] == "\\x1:a. x1"
+    assert payload["countermodel"] is None
     assert "wall_time" not in payload["stats"]
 
 
@@ -152,6 +155,106 @@ def test_corpus_agreement(capsys, tmp_path):
     assert code == 0
     assert "0 disagreements" in out
     assert "a->b->a" in out
+
+
+NAMED_FAILURE = "((b->c->a)->a)->a->a"
+
+
+def _countermodel_file(capsys, tmp_path, **edit):
+    _, out, _ = run(capsys, "decide", NAMED_FAILURE, "--json")
+    cm = json.loads(out)["countermodel"]
+    cm.update(edit)
+    path = tmp_path / "countermodel.json"
+    path.write_text(json.dumps(cm))
+    return str(path)
+
+
+def test_decide_emits_countermodel(capsys):
+    code, out, _ = run(capsys, "decide", NAMED_FAILURE, "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "Empty"
+    assert payload["stats"]["engine"] == "countermodel"
+    assert out.startswith('{"caps":')
+    assert '"countermodel":{"assignment":{"a":2,"b":0,"c":0},"designated":[0,2],"table":[0,1,1,0,0,0,0,1,2]}' in out
+
+
+def test_check_valid_countermodel(capsys, tmp_path):
+    path = _countermodel_file(capsys, tmp_path)
+    code, out, _ = run(capsys, "check", path, NAMED_FAILURE)
+    assert code == 0
+    assert "valid countermodel" in out
+
+
+@pytest.mark.parametrize(
+    "edit,reason",
+    [
+        ({"table": [0, 1, 1, 1, 0, 0, 0, 1, 2]}, "does not validate W"),
+        ({"designated": [0, 1]}, "not closed under modus ponens"),
+        ({"assignment": {"a": 0, "b": 0, "c": 0}}, "is designated"),
+    ],
+)
+def test_check_invalid_countermodel(capsys, tmp_path, edit, reason):
+    path = _countermodel_file(capsys, tmp_path, **edit)
+    code, _, err = run(capsys, "check", path, NAMED_FAILURE)
+    assert code == 1
+    assert "invalid countermodel" in err and reason in err
+
+
+def test_check_countermodel_for_another_formula(capsys, tmp_path):
+    path = _countermodel_file(capsys, tmp_path)
+    code, _, err = run(capsys, "check", path, "c->c")
+    assert code == 1
+    assert "invalid countermodel" in err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"table": [0, 1, 1, 0, 0, 0, 0, 1]},
+        {"table": [0, 1, 1, 0, 0, 0, 0, 1, 3]},
+        {"designated": [0, 0]},
+        {"assignment": {"a": "2"}},
+        {"assignment": [2, 0, 0]},
+    ],
+)
+def test_check_malformed_countermodel(capsys, tmp_path, edit):
+    path = _countermodel_file(capsys, tmp_path, **edit)
+    code, _, err = run(capsys, "check", path, NAMED_FAILURE)
+    assert code == 2
+    assert "malformed countermodel" in err
+
+
+def test_check_countermodel_bad_json(capsys, tmp_path):
+    path = tmp_path / "countermodel.json"
+    path.write_text('{"table": [0, 1, 1,')
+    code, _, err = run(capsys, "check", str(path), NAMED_FAILURE)
+    assert code == 2
+    assert "error" in err
+
+
+def test_corpus_flags_countermodels(capsys, tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("a->a\na->b->a\n((c->c)->c)->c\n")
+    code, out, _ = run(capsys, "corpus", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].endswith("shadow=Inhabited  countermodel=none")
+    assert lines[1].endswith("shadow=Empty  countermodel=Empty")
+    assert lines[2].endswith("shadow=Empty  countermodel=none  no-countermodel")
+    assert lines[3] == "# 3 formulas, 0 disagreements, 1 no-countermodel"
+
+
+def test_corpus_countermodel_for_inhabited_disagrees(capsys, tmp_path, monkeypatch):
+    def bogus(phi):
+        return Decision("Empty", None, None, {"engine": "countermodel"})
+
+    monkeypatch.setattr(ticket.cli, "refute", bogus)
+    path = tmp_path / "corpus.txt"
+    path.write_text("a->a\n")
+    code, out, _ = run(capsys, "corpus", str(path))
+    assert code == 1
+    assert out.splitlines()[0].endswith("countermodel=Empty  DISAGREE")
 
 
 def test_corpus_bad_line(capsys, tmp_path):

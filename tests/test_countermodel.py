@@ -1,0 +1,179 @@
+"""3-valued countermodels: the committed matrix table, the countermodel
+search and its re-check, and a differential test against the oracle and the
+shadow engine."""
+import dataclasses
+import itertools
+import random
+import time
+
+import pytest
+
+from ticket.combinators import Axiom
+from ticket.countermodel import (
+    MATRICES,
+    Countermodel,
+    CountermodelError,
+    all_matrices,
+    check_countermodel,
+    countermodel,
+    search_matrices,
+)
+from ticket.formula import Atom, Imp, parse_formula, print_formula
+from ticket.oracle import Inhabited, SearchBound, bounded_decide
+from ticket.shadow import DecideConfig, decide
+
+from conftest import SEED, formula_corpus, random_derivation
+
+NAMED_FAILURE = parse_formula("((b->c->a)->a)->a->a")
+
+# Formulas of formula_corpus() that a matrix refutes but on which the shadow
+# engine gives ResourceExhausted: in one feasibility test no comb fits, and
+# the test is not exact because a blueprint that is no comb might.
+SHADOW_INEXACT = {
+    "((a->b->a)->a)->a",
+    "((a->b->b)->b)->b",
+    "((b->a->a)->a)->a",
+    "((b->a->b)->b)->b",
+}
+
+
+def test_search_matrices_regenerates_the_table():
+    assert len(list(all_matrices())) == 441
+    assert search_matrices() == MATRICES
+    assert len(MATRICES) == 75
+
+
+def test_named_failure_is_refuted_under_auto():
+    t0 = time.monotonic()
+    d = decide(NAMED_FAILURE)
+    assert time.monotonic() - t0 < 1
+    assert d.verdict == "Empty"
+    assert d.stats["engine"] == "countermodel"
+    check_countermodel(d.countermodel, NAMED_FAILURE)
+
+
+def _random_formula(rng, arrows):
+    if arrows == 0:
+        return rng.choice((Atom("a"), Atom("b"), Atom("c")))
+    k = rng.randrange(arrows)
+    return Imp(_random_formula(rng, k), _random_formula(rng, arrows - 1 - k))
+
+
+def _value(f, table, env):
+    if isinstance(f, Atom):
+        return env[f.name]
+    return table[3 * _value(f.antecedent, table, env) + _value(f.consequent, table, env)]
+
+
+def _atoms(f):
+    return {f.name} if isinstance(f, Atom) else _atoms(f.antecedent) | _atoms(f.consequent)
+
+
+def _naive_countermodel(phi):
+    """The reference: every matrix in table order, every assignment in
+    lexicographic order, one evaluation at a time."""
+    names = sorted(_atoms(phi))
+    for table, designated in MATRICES:
+        for values in itertools.product(range(3), repeat=len(names)):
+            env = dict(zip(names, values))
+            if _value(phi, table, env) not in designated:
+                return Countermodel(table, designated, tuple(sorted(env.items())))
+    return None
+
+
+def test_countermodel_matches_naive_evaluation():
+    rng = random.Random(SEED)
+    formulas = formula_corpus() + [_random_formula(rng, rng.randint(1, 8)) for _ in range(300)]
+    for phi in formulas:
+        assert countermodel(phi) == _naive_countermodel(phi), print_formula(phi)
+
+
+def test_auto_engine_answers_theorems_before_countermodels():
+    d = decide(parse_formula("(a->a->b)->a->b"))
+    assert d.verdict == "Inhabited"
+    assert d.countermodel is None
+
+
+def test_shadow_engine_carries_no_countermodel():
+    d = decide(parse_formula("a->b->a"), DecideConfig(engine="shadow"))
+    assert d.verdict == "Empty"
+    assert d.countermodel is None
+    assert d.stats["engine"] == "shadow"
+
+
+@pytest.mark.parametrize(
+    "edit,reason",
+    [
+        (dict(table=(0, 1, 1, 1, 0, 0, 0, 1, 2)), "does not validate W"),
+        (dict(designated=(0, 1)), "not closed under modus ponens"),
+        (dict(designated=(0, 1, 2)), "nonempty and proper"),
+        (dict(designated=()), "nonempty and proper"),
+        (dict(assignment=(("a", 0), ("b", 0), ("c", 0))), "is designated"),
+        (dict(assignment=(("a", 2), ("b", 0))), "no value to c"),
+    ],
+)
+def test_check_rejects_edited_countermodels(edit, reason):
+    cm = countermodel(NAMED_FAILURE)
+    check_countermodel(cm, NAMED_FAILURE)
+    with pytest.raises(CountermodelError, match=reason):
+        check_countermodel(dataclasses.replace(cm, **edit), NAMED_FAILURE)
+
+
+def test_check_rejects_another_formula():
+    cm = countermodel(NAMED_FAILURE)
+    with pytest.raises(CountermodelError, match="is designated"):
+        check_countermodel(cm, parse_formula("c->c"))
+
+
+def test_too_many_atoms_are_not_searched():
+    names = [Atom(n) for n in "abcdefg"]
+    phi = names[0]
+    for atom in names[1:]:
+        phi = Imp(atom, phi)
+    assert countermodel(phi) is None
+    assert countermodel(Imp(names[1], names[0])) is not None
+
+
+def test_deep_formula_is_searched():
+    a = Atom("a")
+    phi = a
+    for _ in range(5000):
+        phi = Imp(a, phi)
+    check_countermodel(countermodel(phi), phi)
+
+
+def test_countermodels_agree_with_the_engines():
+    # formula_corpus(): every formula over a, b with at most 4 arrows
+    refuted_inexact = set()
+    for phi in formula_corpus():
+        cm = countermodel(phi)
+        if cm is None:
+            continue
+        check_countermodel(cm, phi)
+        witness = bounded_decide(phi, SearchBound(max_nodes=8))
+        assert not isinstance(witness, Inhabited), print_formula(phi)
+        shadow = decide(phi, DecideConfig(engine="shadow")).verdict
+        assert shadow != "Inhabited", print_formula(phi)
+        if shadow != "Empty":
+            refuted_inexact.add(print_formula(phi))
+    assert refuted_inexact == SHADOW_INEXACT
+    # random formulas over a, b, c; the shadow engine only on small ones
+    rng = random.Random(SEED)
+    for _ in range(150):
+        arrows = rng.randint(1, 6)
+        phi = _random_formula(rng, arrows)
+        cm = countermodel(phi)
+        if cm is None:
+            continue
+        check_countermodel(cm, phi)
+        assert not isinstance(bounded_decide(phi), Inhabited), print_formula(phi)
+        if arrows <= 3:
+            assert decide(phi, DecideConfig(engine="shadow")).verdict == "Empty", print_formula(phi)
+
+
+def test_no_countermodel_for_derived_theorems():
+    rng = random.Random(SEED)
+    for _ in range(200):
+        d = random_derivation(rng, rng.randint(1, 6))
+        theorem = d.instantiated_type if isinstance(d, Axiom) else d.result_type
+        assert countermodel(theorem) is None, print_formula(theorem)

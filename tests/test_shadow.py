@@ -86,9 +86,16 @@ def test_shadow_engine_verdicts(text, verdict):
 
 
 def test_auto_engine_falls_back_to_shadow():
-    phi = parse_formula("a->(b->a)")
+    # no 3-valued matrix refutes this non-theorem, so auto needs the shadow
+    # engine; a->(b->a) is refuted by a matrix before it
+    phi = parse_formula("((c->c)->c)->c")
     d = decide(phi, DecideConfig(engine="auto"))
     assert d.verdict == "Empty"
+    assert d.stats["engine"] == "shadow"
+    assert d.countermodel is None
+    d = decide(parse_formula("a->(b->a)"), DecideConfig(engine="auto"))
+    assert d.verdict == "Empty"
+    assert d.stats["engine"] == "countermodel"
 
 
 def test_bounded_engine_never_claims_empty():
