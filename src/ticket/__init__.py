@@ -1,13 +1,14 @@
 """Decision engine for the implicational relevance logic T-arrow.
 
 Subpackages:
-- formula: implicational formulas, parsing, subformulas
+- formula: implicational formulas, parsing, subformulas, contraction closure
 - terms: HRM lambda terms, typing, normalization
 - combinators: BB'IW derivation certificates and the lambda bridge
 - blueprint: stable parts, blueprints, extraction, shuffles, compressions
-- compact: compactness of inhabitants and term transformations
-- shadow: compact-shadow search (_Solver), decide, and shadows derived from
-  it for the lemma checks
+- compact: compactness of inhabitants, term transformations, and the
+  explicit compact shadows derived from the search, for the lemma checks
+- shadow: the decision core, compact-shadow search (_Solver) and decide;
+  it loads neither blueprint nor compact
 - oracle: independent brute-force inhabitant enumeration
 - countermodel: 3-valued matrices that refute non-theorems, with a
   checkable countermodel for Empty

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .formula import Formula, Signature, formula_sort_key, print_formula
+from .formula import Formula, Signature, contraction_closure, formula_sort_key, print_formula
 from .terms import App, Lam, Term, Var, free_vars
 
 Address = tuple[int, ...]
@@ -108,10 +108,6 @@ def empty() -> Blueprint:
 
 def leaf(f: Formula) -> Blueprint:
     return make_blueprint({(): Leaf(f)})
-
-
-def shift(b: Blueprint, prefix: Address) -> Blueprint:
-    return make_blueprint({prefix + a: label for a, label in b.entries})
 
 
 def subtree_at(b: Blueprint, a: Address) -> Blueprint:
@@ -244,20 +240,6 @@ def extraction_sequences_closure(b: Blueprint) -> frozenset[tuple[Formula, ...]]
                 seq.extend([phi] * k)
             out.add(tuple(reversed(seq)))
     return frozenset(out)
-
-
-def contraction_closure(seqs: frozenset[tuple[Formula, ...]]) -> frozenset[tuple[Formula, ...]]:
-    seen = set(seqs)
-    frontier = list(seqs)
-    while frontier:
-        s = frontier.pop()
-        for i in range(1, len(s)):
-            if s[i] == s[i - 1]:
-                shorter = s[:i] + s[i + 1:]
-                if shorter not in seen:
-                    seen.add(shorter)
-                    frontier.append(shorter)
-    return frozenset(seen)
 
 
 def _interleavings(seqs: list[tuple[Formula, ...]]) -> set[tuple[Formula, ...]]:

@@ -46,7 +46,14 @@ from .countermodel import (
     countermodel_to_json,
 )
 from .formula import FormulaSyntaxError, parse_formula, print_formula
-from .shadow import Caps, DecideConfig, Decision, decide, refute
+from .shadow import (
+    MAX_LABEL_CANDIDATES,
+    MAX_SHADOW_NODES,
+    DecideConfig,
+    Decision,
+    decide,
+    refute,
+)
 from .terms import print_term
 
 EXIT_INHABITED = 0
@@ -86,9 +93,8 @@ def _decide_with_budget(phi, config: DecideConfig, seconds: int | None) -> Decis
         signal.signal(signal.SIGALRM, old)
 
 
-def _config_from(args) -> DecideConfig:
-    caps = Caps(max_shadows=args.max_shadows)
-    return DecideConfig(engine=args.engine, max_nodes=args.max_nodes, caps=caps)
+def _config_from(args, engine: str) -> DecideConfig:
+    return DecideConfig(engine=engine, max_nodes=args.max_nodes, max_shadows=args.max_shadows)
 
 
 def _decision_payload(phi, d: Decision, config: DecideConfig, emit: str) -> dict:
@@ -113,9 +119,9 @@ def _decision_payload(phi, d: Decision, config: DecideConfig, emit: str) -> dict
         "caps": {
             "engine": config.engine,
             "max_nodes": config.max_nodes,
-            "max_shadows": config.caps.max_shadows,
-            "max_shadow_nodes": config.caps.max_shadow_nodes,
-            "max_label_candidates": config.caps.max_label_candidates,
+            "max_shadows": config.max_shadows,
+            "max_shadow_nodes": MAX_SHADOW_NODES,
+            "max_label_candidates": MAX_LABEL_CANDIDATES,
         },
     }
 
@@ -137,7 +143,7 @@ def _print_decision_text(phi, d: Decision, emit: str, trace: bool) -> None:
 def cmd_decide(args) -> int:
     try:
         phi = parse_formula(args.formula)
-        config = _config_from(args)
+        config = _config_from(args, args.engine)
     except (FormulaSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -214,14 +220,10 @@ def cmd_corpus(args) -> int:
             return EXIT_ERROR
 
     try:
-        caps = Caps(max_shadows=args.max_shadows)
         engines = (
             ["bounded", "shadow"] if args.engine == "auto" else [args.engine]
         )
-        configs = {
-            name: DecideConfig(engine=name, max_nodes=args.max_nodes, caps=caps)
-            for name in engines
-        }
+        configs = {name: _config_from(args, name) for name in engines}
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -254,11 +256,19 @@ def cmd_corpus(args) -> int:
     return EXIT_INHABITED if disagreements == 0 else EXIT_EMPTY
 
 
+def _seconds(text: str) -> int:
+    # signal.alarm(0) would cancel the budget instead of enforcing it
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--engine", choices=["auto", "bounded", "shadow"], default="auto")
     p.add_argument("--max-nodes", type=int, default=10)
     p.add_argument("--max-shadows", type=int, default=200_000)
-    p.add_argument("--time-budget", type=int, default=None, metavar="SECONDS")
+    p.add_argument("--time-budget", type=_seconds, default=None, metavar="SECONDS")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,29 +1,45 @@
-"""Compactness of normal inhabitants and the constructive term surgeries.
+"""Compactness of normal inhabitants, the constructive term surgeries, and
+the explicit compact shadows.
 
 The three surgeries are: reading off a full extraction chain from a term
 (every free variable's type is extractible at its occurrence addresses),
 renaming free variables along an alternative extraction chain (switch_var),
 and compressing a term down a vertical graft of its blueprint
 (compress_term). Together they let a non-compact inhabitant be shrunk.
+
+Shadows are the lemma-side view of the decision core's search: `shadow_of`
+a term, the predicates `is_phi_shadow` and `is_compact_shadow`, and
+`enumerate_compact_shadows` and `inhabitant_with_domain`, which are derived
+from `ticket.shadow._Solver` and from the oracle. Imports go from this
+module to the core only, so `decide` never loads this module.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .blueprint import (
     Blueprint,
     NotExtractable,
+    admits_sequence,
+    app,
     blueprint_of,
+    canonicalize,
+    compress_to_max,
+    empty,
     extract_at,
     extractable_leaves,
     f_of,
+    leaf,
     print_blueprint,
     relative_depth,
     single_grafts,
     up_closure,
+    width,
 )
 from .formula import Formula, subformulas
+from .oracle import _hits, _levels
+from .shadow import DecideConfig, _Solver
 from .terms import (
     Address,
     App,
@@ -425,3 +441,222 @@ def shrink_fixpoint(m: Term, phi: Formula) -> Term:
         if nxt is None:
             return m
         m = nxt
+
+
+# --- compact shadows --------------------------------------------------------
+
+@dataclass(frozen=True)
+class ShadowLabel:
+    chi_seq: tuple[Formula, ...]
+    gamma: Blueprint
+    psi: Formula
+
+
+@dataclass(frozen=True)
+class Shadow:
+    entries: tuple[tuple[Address, ShadowLabel], ...]
+
+    def __post_init__(self) -> None:
+        if list(self.entries) != sorted(self.entries, key=lambda e: e[0]):
+            raise ValueError("shadow entries must be address-sorted")
+
+    @property
+    def domain(self) -> tuple[Address, ...]:
+        return tuple(a for a, _ in self.entries)
+
+    def get(self, a: Address) -> ShadowLabel:
+        for addr, label in self.entries:
+            if addr == a:
+                return label
+        raise KeyError(a)
+
+    def arity(self, a: Address) -> int:
+        dom = set(self.domain)
+        return (a + (1,) in dom) + (a + (2,) in dom)
+
+    def unary_count(self, a: Address) -> int:
+        """k_a: the number of unary strict ancestors of a."""
+        dom = set(self.domain)
+        k = 0
+        for i in range(len(a)):
+            b = a[:i]
+            if b + (1,) in dom and b + (2,) not in dom:
+                k += 1
+        return k
+
+    def leaves(self) -> list[Address]:
+        dom = set(self.domain)
+        return sorted(a for a in dom if a + (1,) not in dom and a + (2,) not in dom)
+
+
+def make_shadow(mapping: dict[Address, ShadowLabel]) -> Shadow:
+    return Shadow(tuple(sorted(mapping.items(), key=lambda e: e[0])))
+
+
+def root_shadow(phi: Formula) -> Shadow:
+    return make_shadow({(): ShadowLabel((), empty(), phi)})
+
+
+# --- comb witnesses ---------------------------------------------------------
+
+def _comb(chi: tuple[Formula, ...], tags: tuple[Formula, ...]) -> Blueprint:
+    """Right-leaf comb realizing exactly chi: F = contractions of {chi}."""
+    if not chi:
+        return empty()
+    out = leaf(chi[0])
+    for c, t in zip(chi[1:], tags):
+        out = app(t, out, leaf(c))
+    return out
+
+
+def _witness_gamma(chi: tuple[Formula, ...], subs: list[Formula]) -> Blueprint:
+    """Unconstrained comb witness for a fresh leaf node."""
+    n = len(chi)
+    if n <= 1:
+        return canonicalize(_comb(chi, ()))
+    tags = tuple(subs[i % len(subs)] for i in range(n - 1))
+    return canonicalize(_comb(chi, tags))
+
+
+# --- shadow of a term -------------------------------------------------------
+
+def shadow_of(m: Term, phi: Formula) -> Shadow:
+    """The shadow of a locally compact inhabitant: at each address the free
+    type sequence, a maximal bounded compression of the stable part, and the
+    subterm type."""
+    mapping: dict[Address, ShadowLabel] = {}
+    for a, t in addresses(m):
+        k = len(lambda_prefix(m, a))
+        chi = tuple(v.var_type for v in free_vars(t))
+        gamma = compress_to_max(blueprint_of(t), k)
+        mapping[a] = ShadowLabel(chi, gamma, type_of(t))
+    return make_shadow(mapping)
+
+
+def is_phi_shadow(x: Shadow, phi: Formula) -> bool:
+    dom = set(x.domain)
+    if () not in dom:
+        return False
+    for a in dom:
+        if a and a[:-1] not in dom:
+            return False
+        if a and a[-1] not in (1, 2):
+            return False
+        if a + (2,) in dom and a + (1,) not in dom:
+            return False
+    subs = subformulas(phi)
+    bound = len(subs)
+    root = x.get(())
+    if root.chi_seq != () or not root.gamma.is_empty() or root.psi != phi:
+        return False
+    for a, label in x.entries:
+        k = x.unary_count(a)
+        if label.psi not in subs:
+            return False
+        if len(label.chi_seq) > k or any(c not in subs for c in label.chi_seq):
+            return False
+        g = label.gamma
+        if g != canonicalize(g):
+            return False
+        for _, lab in g.entries:
+            if lab.formula not in subs:
+                return False
+        if width(g) > k or relative_depth(g) > k * bound:
+            return False
+        if label.chi_seq not in f_of(g):
+            return False
+    return True
+
+
+def is_compact_shadow(x: Shadow) -> bool:
+    dom = x.domain
+    for a in dom:
+        la = x.get(a)
+        for b in dom:
+            if not (len(a) < len(b) and b[: len(a)] == a):
+                continue
+            lb = x.get(b)
+            if x.arity(a) != x.arity(b) or la.psi != lb.psi:
+                continue
+            if admits_sequence(lb.gamma, la.chi_seq):
+                return False
+    return True
+
+
+# --- shadows derived from the solver ----------------------------------------
+
+@dataclass
+class Enumeration:
+    shadows: list[Shadow]
+    complete: bool
+    exact: bool
+    stats: dict[str, int] = field(default_factory=dict)
+
+
+def _solution_shadow(solver: _Solver, m: Term) -> Shadow:
+    """The shadow the solver's search gave the solution m: walking m top-down
+    with the ancestor history, each node is labelled with its free types in
+    rank order (chi), its type (psi) and a canonical comb gamma: the
+    unconstrained witness at a leaf, elsewhere the comb on the spine tags
+    whose feasibility test admitted the node. Only here are the combs built;
+    the search itself keeps no blueprint."""
+    mapping: dict[Address, ShadowLabel] = {}
+    stack: list[tuple[Address, Term, frozenset]] = [((), m, frozenset())]
+    while stack:
+        a, t, hist = stack.pop()
+        chi = tuple(v.var_type for v in free_vars(t))
+        psi = type_of(t)
+        if isinstance(t, Var):
+            mapping[a] = ShadowLabel(chi, _witness_gamma(chi, solver.subs), psi)
+            continue
+        arity = 1 if isinstance(t, Lam) else 2
+        tags = solver._tags(chi, arity, psi, hist)
+        assert tags is not None, "the solver admitted this node"
+        mapping[a] = ShadowLabel(chi, canonicalize(_comb(chi, tags)), psi)
+        child_hist = hist | {(arity, psi, chi)}
+        if isinstance(t, Lam):
+            stack.append((a + (1,), t.body, child_hist))
+        else:
+            stack.append((a + (1,), t.fn, child_hist))
+            stack.append((a + (2,), t.arg, child_hist))
+    return make_shadow(mapping)
+
+
+def enumerate_compact_shadows(phi: Formula) -> Enumeration:
+    """All fully expanded compact phi-shadows, derived from `_Solver`: the
+    shadows of the terms it returns (see `_solution_shadow`), without
+    repeats, ordered by domain size and domain. Every leaf is a variable node
+    (chi = (psi,)).
+
+    `complete` and `exact` are the solver's, at the default limits:
+    `complete` is False when a limit (history length or memo size) stopped
+    the search; `exact` is False when
+    some pruning step could not be decided exactly (then an Empty verdict
+    downstream must degrade)."""
+    solver = _Solver(phi, DecideConfig().max_shadows)
+    unique = dict.fromkeys(_solution_shadow(solver, m) for m in solver.solve())
+    shadows = sorted(unique, key=lambda s: (len(s.domain), s.domain))
+    return Enumeration(
+        shadows,
+        solver.complete,
+        solver.exact,
+        {"shadows": len(shadows), "expanded": solver.expanded},
+    )
+
+
+def inhabitant_with_domain(phi: Formula, x: Shadow) -> Term | None:
+    """First inhabitant with the shadow's tree domain and the shadow's psi
+    label as its type at every address, derived from the oracle: the first
+    such term, by print, of the oracle's size-n level, n the domain size (only
+    n-node terms have an n-address domain)."""
+    n = len(x.domain)
+    pins = {a: label.psi for a, label in x.entries}
+    levels = _levels(phi, n)
+    states = next(level for size, level in levels if size == n)
+    for m in _hits(phi, states):
+        subterms = dict(addresses(m))
+        if subterms.keys() == pins.keys() and all(
+            type_of(t) == pins[a] for a, t in subterms.items()
+        ):
+            return m
+    return None

@@ -1,4 +1,5 @@
-"""Implicational formulas: data type, parser, printer, subformula machinery.
+"""Implicational formulas: data type, parser, printer, subformula machinery,
+and the contraction closure of formula sequences.
 
 The only connective is the arrow. Atom identity is by name string; there is
 no unification and no atom schemata anywhere in this package.
@@ -145,6 +146,22 @@ def subformulas(f: Formula) -> frozenset[Formula]:
     if isinstance(f, Atom):
         return frozenset({f})
     return subformulas(f.antecedent) | subformulas(f.consequent) | {f}
+
+
+def contraction_closure(seqs: frozenset[tuple[Formula, ...]]) -> frozenset[tuple[Formula, ...]]:
+    """The sequences, seqs included, that merging adjacent equal formulas
+    reaches from seqs."""
+    seen = set(seqs)
+    frontier = list(seqs)
+    while frontier:
+        s = frontier.pop()
+        for i in range(1, len(s)):
+            if s[i] == s[i - 1]:
+                shorter = s[:i] + s[i + 1:]
+                if shorter not in seen:
+                    seen.add(shorter)
+                    frontier.append(shorter)
+    return frozenset(seen)
 
 
 @dataclass(frozen=True)

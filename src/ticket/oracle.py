@@ -31,16 +31,6 @@ from .terms import (
 
 
 @dataclass(frozen=True)
-class SearchBound:
-    max_nodes: int = 10
-    max_var_rank_span: int = 8
-
-    def __post_init__(self) -> None:
-        if self.max_nodes < 1 or self.max_var_rank_span < 1:
-            raise ValueError("bounds must be >= 1")
-
-
-@dataclass(frozen=True)
 class _State:
     term: Term
     term_type: Formula
@@ -87,15 +77,15 @@ def _rerank_free(m: Term, old_free: tuple[Formula, ...], positions: tuple[int, .
     return _rename_bound(m, mapping)
 
 
-def _levels(phi: Formula, bound: SearchBound) -> Iterator[tuple[int, list[_State]]]:
+def _levels(phi: Formula, max_nodes: int) -> Iterator[tuple[int, list[_State]]]:
     """Yield `(size, states)` for sizes 1..max_nodes, each level as soon as it
     is built. Above size 1, a term of `size` nodes with p free variables is
     built only if size + p <= max_nodes (see the module docstring). Each
     level is also grouped by type, so an application pairs a function only
     with the arguments of its antecedent type."""
+    if max_nodes < 1:
+        raise ValueError("max_nodes must be >= 1")
     subs = subformulas(phi)
-    span = bound.max_var_rank_span
-    limit = bound.max_nodes
     by_size: dict[int, list[_State]] = {}
     by_type: dict[int, dict[Formula, list[_State]]] = {}
     seen: set[Term] = set()
@@ -115,7 +105,7 @@ def _levels(phi: Formula, bound: SearchBound) -> Iterator[tuple[int, list[_State
         add(1, Var(VarRef(1, tau)), tau)
     yield 1, by_size[1]
 
-    for size in range(2, limit + 1):
+    for size in range(2, max_nodes + 1):
         by_size[size], by_type[size] = [], {}
         # abstractions over size-1 bodies: one more node and one fewer free
         # variable keep size + p within the limit, so they need no check
@@ -134,7 +124,7 @@ def _levels(phi: Formula, bound: SearchBound) -> Iterator[tuple[int, list[_State
                     continue
                 for st2 in by_type[s2].get(st1.term_type.antecedent, ()):
                     for r, pa, pb in _merges(st1.free_types, st2.free_types):
-                        if r > span or size + r > limit:
+                        if size + r > max_nodes:
                             continue
                         if st1.free_types and (
                             not st2.free_types or pa[-1] > pb[-1]
@@ -155,10 +145,10 @@ def _hits(phi: Formula, states: list[_State]) -> list[Term]:
     )
 
 
-def enumerate_inhabitants(phi: Formula, bound: SearchBound = SearchBound()) -> list[Term]:
-    """All alpha-canonical closed normal HRM terms of type phi within the node
-    bound, ordered by (size, canonical print)."""
-    return [m for _, states in _levels(phi, bound) for m in _hits(phi, states)]
+def enumerate_inhabitants(phi: Formula, max_nodes: int = 10) -> list[Term]:
+    """All alpha-canonical closed normal HRM terms of type phi with at most
+    max_nodes nodes, ordered by (size, canonical print)."""
+    return [m for _, states in _levels(phi, max_nodes) for m in _hits(phi, states)]
 
 
 @dataclass(frozen=True)
@@ -171,11 +161,11 @@ class Unknown:
     pass
 
 
-def bounded_decide(phi: Formula, bound: SearchBound = SearchBound()) -> Inhabited | Unknown:
-    """Semi-decision: the smallest witness within the bound, or Unknown.
-    Never claims emptiness. Stops at the first size that has an inhabitant
-    and builds no larger term."""
-    for _, states in _levels(phi, bound):
+def bounded_decide(phi: Formula, max_nodes: int = 10) -> Inhabited | Unknown:
+    """Semi-decision: the smallest witness of at most max_nodes nodes, or
+    Unknown. Never claims emptiness. Stops at the first size that has an
+    inhabitant and builds no larger term."""
+    for _, states in _levels(phi, max_nodes):
         hits = _hits(phi, states)
         if hits:
             return Inhabited(hits[0])

@@ -1,12 +1,12 @@
-"""Compact-shadow search (`_Solver`), `decide`, and shadows derived from it
-for the lemma checks.
+"""The decision core: the compact-shadow search (`_Solver`) and `decide`.
 
 A shadow abstracts a normal inhabitant into a tree with the same domain,
 labeling every address with (free-variable type sequence, compressed
 blueprint, subterm type). Compact shadows of a formula form a finite set, so
 the search for inhabitants with compact shadows terminates. `_Solver` is the
-one search recursion; `enumerate_compact_shadows` projects its solutions to
-shadows and `inhabitant_with_domain` filters one size level of the oracle.
+one search recursion. The explicit shadows that the lemma checks use are
+derived from it in `ticket.compact`; this module imports neither `compact`
+nor `blueprint`.
 
 The search works on a quotient: states carry the (arity, chi, psi)
 labeling plus one witness blueprint per node. Ancestor/descendant compactness
@@ -14,10 +14,11 @@ constrains a node only through its own blueprint and the ancestors' chi
 sequences, so witnesses can be chosen per node. The chosen witness is a
 right-leaf comb realizing exactly the chi sequence; when its spine tags can
 be made pairwise distinct its graft closure is minimal, which makes the
-pruning test exact. Labels are further restricted to the combinations a term
-can induce (leaf = variable, unary = abstraction, binary = application with
-an order-preserving free-variable merge); every shadow of a compact
-inhabitant satisfies these, so no inhabited domain is lost.
+pruning test exact. The search keeps only the spine tags, never the comb.
+Labels are further restricted to the combinations a term can induce (leaf =
+variable, unary = abstraction, binary = application with an order-preserving
+free-variable merge); every shadow of a compact inhabitant satisfies these,
+so no inhabited domain is lost.
 """
 from __future__ import annotations
 
@@ -27,113 +28,31 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .blueprint import (
-    Blueprint,
-    Leaf,
-    admits_sequence,
-    app,
-    blueprint_of,
-    canonicalize,
-    compress_to_max,
-    contraction_closure,
-    empty,
-    f_of,
-    leaf,
-    relative_depth,
-    width,
-)
 from .combinators import CombDerivation, extract_combinator
-from .compact import lambda_prefix
 from .countermodel import MATRICES, Countermodel, check_countermodel, countermodel
-from .formula import Formula, Imp, formula_sort_key, subformulas
-from .oracle import (
-    SearchBound,
-    Inhabited as OracleInhabited,
-    bounded_decide,
-    _hits,
-    _levels,
-    _rerank_free,
-)
+from .formula import Formula, Imp, contraction_closure, formula_sort_key, subformulas
+from .oracle import Inhabited as OracleInhabited, bounded_decide, _rerank_free
 from .terms import (
-    Address,
     App,
     Lam,
     Term,
     Var,
     VarRef,
-    addresses,
     alpha_canonical,
     bound_refs,
-    free_vars,
     node_count,
     print_term,
-    type_of,
 )
 
-
-@dataclass(frozen=True)
-class ShadowLabel:
-    chi_seq: tuple[Formula, ...]
-    gamma: Blueprint
-    psi: Formula
-
-
-@dataclass(frozen=True)
-class Shadow:
-    entries: tuple[tuple[Address, ShadowLabel], ...]
-
-    def __post_init__(self) -> None:
-        if list(self.entries) != sorted(self.entries, key=lambda e: e[0]):
-            raise ValueError("shadow entries must be address-sorted")
-
-    @property
-    def domain(self) -> tuple[Address, ...]:
-        return tuple(a for a, _ in self.entries)
-
-    def get(self, a: Address) -> ShadowLabel:
-        for addr, label in self.entries:
-            if addr == a:
-                return label
-        raise KeyError(a)
-
-    def arity(self, a: Address) -> int:
-        dom = set(self.domain)
-        return (a + (1,) in dom) + (a + (2,) in dom)
-
-    def unary_count(self, a: Address) -> int:
-        """k_a: the number of unary strict ancestors of a."""
-        dom = set(self.domain)
-        k = 0
-        for i in range(len(a)):
-            b = a[:i]
-            if b + (1,) in dom and b + (2,) not in dom:
-                k += 1
-        return k
-
-    def leaves(self) -> list[Address]:
-        dom = set(self.domain)
-        return sorted(a for a in dom if a + (1,) not in dom and a + (2,) not in dom)
+# Fixed limits of the shadow search. MAX_SHADOW_NODES bounds the length of a
+# node's ancestor history (`len(hist)`, the depth); tripping it clears
+# `complete`. MAX_LABEL_CANDIDATES bounds the spine-tag patterns one
+# feasibility test tries; running out clears `exact`.
+MAX_SHADOW_NODES = 40
+MAX_LABEL_CANDIDATES = 20_000
 
 
-def make_shadow(mapping: dict[Address, ShadowLabel]) -> Shadow:
-    return Shadow(tuple(sorted(mapping.items(), key=lambda e: e[0])))
-
-
-def root_shadow(phi: Formula) -> Shadow:
-    return make_shadow({(): ShadowLabel((), empty(), phi)})
-
-
-# --- comb witnesses ---------------------------------------------------------
-
-def _comb(chi: tuple[Formula, ...], tags: tuple[Formula, ...]) -> Blueprint:
-    """Right-leaf comb realizing exactly chi: F = contractions of {chi}."""
-    if not chi:
-        return empty()
-    out = leaf(chi[0])
-    for c, t in zip(chi[1:], tags):
-        out = app(t, out, leaf(c))
-    return out
-
+# --- feasibility of a comb witness -------------------------------------------
 
 def _comb_universe(
     chi: tuple[Formula, ...], pattern: tuple[int, ...]
@@ -175,12 +94,12 @@ def _feasible_tags(
     chi: tuple[Formula, ...],
     constraints: frozenset[tuple[Formula, ...]],
     subs: list[Formula],
-    pattern_cap: int,
 ) -> tuple[tuple[Formula, ...] | None, bool]:
-    """Spine tags, over subs, of a comb (see `_comb`) with chi in its F and no
-    constraint sequence in the union of F over its graft closure, and whether
-    the answer is exact. The tags are None if no such comb exists (exact) or
-    none was found within pattern_cap tag patterns (inexact)."""
+    """Spine tags, over subs, of a right-leaf comb (`compact._comb`) with chi
+    in its F and no constraint sequence in the union of F over its graft
+    closure, and whether the answer is exact. The tags are None if no such
+    comb exists (exact) or none was found within MAX_LABEL_CANDIDATES tag
+    patterns (inexact)."""
     n = len(chi)
     if constraints & contraction_closure(frozenset({chi})):
         # every admissible gamma has F containing all contractions of chi
@@ -191,101 +110,14 @@ def _feasible_tags(
     count = 0
     for pattern in _patterns(n - 1, s):
         count += 1
-        if count > pattern_cap:
+        if count > MAX_LABEL_CANDIDATES:
             return None, False
         if not (_comb_universe(chi, pattern) & constraints):
             return tuple(subs[c] for c in pattern), True
     return None, False
 
 
-def _witness_gamma(chi: tuple[Formula, ...], subs: list[Formula]) -> Blueprint:
-    """Unconstrained comb witness for a fresh leaf node."""
-    n = len(chi)
-    if n <= 1:
-        return canonicalize(_comb(chi, ()))
-    tags = tuple(subs[i % len(subs)] for i in range(n - 1))
-    return canonicalize(_comb(chi, tags))
-
-
-# --- shadow of a term -------------------------------------------------------
-
-def shadow_of(m: Term, phi: Formula) -> Shadow:
-    """The shadow of a locally compact inhabitant: at each address the free
-    type sequence, a maximal bounded compression of the stable part, and the
-    subterm type."""
-    mapping: dict[Address, ShadowLabel] = {}
-    for a, t in addresses(m):
-        k = len(lambda_prefix(m, a))
-        chi = tuple(v.var_type for v in free_vars(t))
-        gamma = compress_to_max(blueprint_of(t), k)
-        mapping[a] = ShadowLabel(chi, gamma, type_of(t))
-    return make_shadow(mapping)
-
-
-def is_phi_shadow(x: Shadow, phi: Formula) -> bool:
-    dom = set(x.domain)
-    if () not in dom:
-        return False
-    for a in dom:
-        if a and a[:-1] not in dom:
-            return False
-        if a and a[-1] not in (1, 2):
-            return False
-        if a + (2,) in dom and a + (1,) not in dom:
-            return False
-    subs = subformulas(phi)
-    bound = len(subs)
-    root = x.get(())
-    if root.chi_seq != () or not root.gamma.is_empty() or root.psi != phi:
-        return False
-    for a, label in x.entries:
-        k = x.unary_count(a)
-        if label.psi not in subs:
-            return False
-        if len(label.chi_seq) > k or any(c not in subs for c in label.chi_seq):
-            return False
-        g = label.gamma
-        if g != canonicalize(g):
-            return False
-        for _, lab in g.entries:
-            if (lab.formula if isinstance(lab, Leaf) else lab.formula) not in subs:
-                return False
-        if width(g) > k or relative_depth(g) > k * bound:
-            return False
-        if label.chi_seq not in f_of(g):
-            return False
-    return True
-
-
-def is_compact_shadow(x: Shadow) -> bool:
-    dom = x.domain
-    for a in dom:
-        la = x.get(a)
-        for b in dom:
-            if not (len(a) < len(b) and b[: len(a)] == a):
-                continue
-            lb = x.get(b)
-            if x.arity(a) != x.arity(b) or la.psi != lb.psi:
-                continue
-            if admits_sequence(lb.gamma, la.chi_seq):
-                return False
-    return True
-
-
 # --- compact-shadow search ---------------------------------------------------
-
-@dataclass(frozen=True)
-class Caps:
-    """Limits of the shadow search. `max_shadow_nodes` bounds the length of a
-    node's ancestor history (`len(hist)`, the depth), and `max_shadows` the
-    number of memo entries; tripping either clears `complete`.
-    `max_label_candidates` bounds the spine-tag patterns one feasibility test
-    tries; running out clears `exact`."""
-
-    max_shadows: int = 200_000
-    max_shadow_nodes: int = 40
-    max_label_candidates: int = 20_000
-
 
 def _fn_sides(chi: tuple[Formula, ...]) -> list[tuple[tuple[Formula, ...], list[tuple[int, ...]]]]:
     """The free types a binary node with free types chi can pass to its
@@ -321,10 +153,11 @@ class _Solver:
 
     Constraints are path-local: a node is constrained only by the (arity,
     psi, chi) labels of its ancestors, so sibling subtrees are independent
-    and results memoize on (chi, psi, k, history)."""
+    and results memoize on (chi, psi, k, history). At most `max_shadows`
+    results are memoized; tripping that limit clears `complete`."""
 
     phi: Formula
-    caps: Caps
+    max_shadows: int
     subs: list[Formula] = field(default_factory=list)
     memo: dict = field(default_factory=dict)
     complete: bool = True
@@ -363,7 +196,7 @@ class _Solver:
         key = (chi, psi, k, hist, fn_position)
         if key in self.memo:
             return self.memo[key]
-        if len(hist) > self.caps.max_shadow_nodes:
+        if len(hist) > MAX_SHADOW_NODES:
             self.complete = False
             return ()
         self.expanded += 1
@@ -402,7 +235,7 @@ class _Solver:
         result = tuple(
             sorted(set(out), key=lambda t: (node_count(t), print_term(t)))
         )
-        if len(self.memo) < self.caps.max_shadows:
+        if len(self.memo) < self.max_shadows:
             self.memo[key] = result
         else:
             self.complete = False
@@ -415,98 +248,22 @@ class _Solver:
         below the given ancestor history, or None when the node is not
         feasible; a None that is not a proof clears exact."""
         constraints = frozenset(c for (r, p, c) in hist if r == arity and p == psi)
-        tags, exact = _feasible_tags(chi, constraints, self.subs, self.caps.max_label_candidates)
+        tags, exact = _feasible_tags(chi, constraints, self.subs)
         if not exact:
             self.exact = False
         return tags
-
-
-# --- shadows derived from the solver, for the lemma checks -----------------
-
-@dataclass
-class Enumeration:
-    shadows: list[Shadow]
-    complete: bool
-    exact: bool
-    stats: dict[str, int] = field(default_factory=dict)
-
-
-def _solution_shadow(solver: _Solver, m: Term) -> Shadow:
-    """The shadow the solver's search gave the solution m: walking m top-down
-    with the ancestor history, each node is labelled with its free types in
-    rank order (chi), its type (psi) and a canonical comb gamma: the
-    unconstrained witness at a leaf, elsewhere the comb on the spine tags
-    whose feasibility test admitted the node. Only here are the combs built;
-    the search itself keeps no blueprint."""
-    mapping: dict[Address, ShadowLabel] = {}
-    stack: list[tuple[Address, Term, frozenset]] = [((), m, frozenset())]
-    while stack:
-        a, t, hist = stack.pop()
-        chi = tuple(v.var_type for v in free_vars(t))
-        psi = type_of(t)
-        if isinstance(t, Var):
-            mapping[a] = ShadowLabel(chi, _witness_gamma(chi, solver.subs), psi)
-            continue
-        arity = 1 if isinstance(t, Lam) else 2
-        tags = solver._tags(chi, arity, psi, hist)
-        assert tags is not None, "the solver admitted this node"
-        mapping[a] = ShadowLabel(chi, canonicalize(_comb(chi, tags)), psi)
-        child_hist = hist | {(arity, psi, chi)}
-        if isinstance(t, Lam):
-            stack.append((a + (1,), t.body, child_hist))
-        else:
-            stack.append((a + (1,), t.fn, child_hist))
-            stack.append((a + (2,), t.arg, child_hist))
-    return make_shadow(mapping)
-
-
-def enumerate_compact_shadows(phi: Formula, caps: Caps = Caps()) -> Enumeration:
-    """All fully expanded compact phi-shadows, derived from `_Solver`: the
-    shadows of the terms it returns (see `_solution_shadow`), without
-    repeats, ordered by domain size and domain. Every leaf is a variable node
-    (chi = (psi,)).
-
-    `complete` and `exact` are the solver's: `complete` is False when a cap
-    (history length or memo size) stopped the search; `exact` is False when
-    some pruning step could not be decided exactly (then an Empty verdict
-    downstream must degrade)."""
-    solver = _Solver(phi, caps)
-    unique = dict.fromkeys(_solution_shadow(solver, m) for m in solver.solve())
-    shadows = sorted(unique, key=lambda s: (len(s.domain), s.domain))
-    return Enumeration(
-        shadows,
-        solver.complete,
-        solver.exact,
-        {"shadows": len(shadows), "expanded": solver.expanded},
-    )
-
-
-def inhabitant_with_domain(phi: Formula, x: Shadow) -> Term | None:
-    """First inhabitant with the shadow's tree domain and the shadow's psi
-    label as its type at every address, derived from the oracle: the first
-    such term, by print, of the oracle's size-n level, n the domain size (only
-    n-node terms have an n-address domain). The bound is n; a term of n nodes
-    has at most n free variables, so the rank-span bound n drops none."""
-    n = len(x.domain)
-    pins = {a: label.psi for a, label in x.entries}
-    levels = _levels(phi, SearchBound(max_nodes=n, max_var_rank_span=n))
-    states = next(level for size, level in levels if size == n)
-    for m in _hits(phi, states):
-        subterms = dict(addresses(m))
-        if subterms.keys() == pins.keys() and all(
-            type_of(t) == pins[a] for a, t in subterms.items()
-        ):
-            return m
-    return None
 
 
 # --- the decision procedure -------------------------------------------------
 
 @dataclass(frozen=True)
 class DecideConfig:
+    """`max_nodes` bounds the oracle's witness size, `max_shadows` the shadow
+    search's memo entries."""
+
     engine: str = "auto"
     max_nodes: int = 10
-    caps: Caps = field(default_factory=Caps)
+    max_shadows: int = 200_000
 
     def __post_init__(self) -> None:
         if self.engine not in ("auto", "bounded", "shadow"):
@@ -531,7 +288,7 @@ def _inhabited(witness: Term, phi: Formula, stats: dict[str, Any]) -> Decision:
 
 
 def _decide_bounded(phi: Formula, config: DecideConfig) -> Decision:
-    res = bounded_decide(phi, SearchBound(max_nodes=config.max_nodes))
+    res = bounded_decide(phi, config.max_nodes)
     stats: dict[str, Any] = {"engine": "bounded", "max_nodes": config.max_nodes}
     if isinstance(res, OracleInhabited):
         return _inhabited(res.witness, phi, stats)
@@ -550,7 +307,7 @@ def refute(phi: Formula) -> Decision | None:
 
 
 def _decide_shadow(phi: Formula, config: DecideConfig) -> Decision:
-    solver = _Solver(phi, config.caps)
+    solver = _Solver(phi, config.max_shadows)
     witnesses = solver.solve()
     stats: dict[str, Any] = {
         "engine": "shadow",
@@ -571,7 +328,7 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
     """Decide inhabitation of phi. Inhabited verdicts always carry a checked
     lambda witness and a combinator certificate. Empty is claimed either
     with a checked 3-valued countermodel or by the complete shadow engine
-    with no caps tripped. `auto` runs the bounded oracle, then the
+    with no limit tripped. `auto` runs the bounded oracle, then the
     countermodel search, then the shadow engine, and stops at the first
     verdict; `shadow` runs the shadow engine alone."""
     t0 = time.monotonic()

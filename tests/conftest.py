@@ -10,7 +10,7 @@ import pytest
 
 from ticket.blueprint import Blueprint, app, leaf, make_blueprint, star
 from ticket.formula import Atom, Formula, Imp, parse_formula
-from ticket.oracle import SearchBound, _levels
+from ticket.oracle import _levels
 from ticket.terms import Term
 
 SEED = int(os.environ.get("TICKET_SEED", "0"))
@@ -39,7 +39,7 @@ def _build_pools() -> tuple[list[tuple[Term, Formula]], list[tuple[Term, Formula
     for phi in POOL_FORMULAS:
         # sizes 1-9 at bound 18: a term of at most 9 nodes has at most 9 free
         # variables, so the oracle prunes none of them
-        for size, states in _levels(phi, SearchBound(max_nodes=18)):
+        for size, states in _levels(phi, 18):
             for st in states:
                 open_pool.append((st.term, st.term_type))
                 if not st.free_types:

@@ -26,17 +26,18 @@ from ticket.blueprint import (
 )
 from ticket.cli import main
 from ticket.combinators import check_derivation
-from ticket.compact import is_compact, is_locally_compact, shrink_fixpoint
-from ticket.formula import Atom, Imp, Signature, parse_formula, subformulas
-from ticket.oracle import SearchBound, Unknown, bounded_decide, enumerate_inhabitants
-from ticket.shadow import (
-    DecideConfig,
-    decide,
+from ticket.compact import (
     enumerate_compact_shadows,
+    is_compact,
     is_compact_shadow,
+    is_locally_compact,
     is_phi_shadow,
     shadow_of,
+    shrink_fixpoint,
 )
+from ticket.formula import Atom, Imp, Signature, parse_formula, subformulas
+from ticket.oracle import Unknown, bounded_decide, enumerate_inhabitants
+from ticket.shadow import DecideConfig, decide
 from ticket.terms import (
     App,
     Lam,
@@ -89,7 +90,7 @@ def test_criterion_02_relevance_rejections():
         d = decide(phi, DecideConfig(engine="shadow"))
         assert d.verdict == "Empty"
         assert d.stats["closure_complete"] and d.stats["closure_exact"]
-        assert isinstance(bounded_decide(phi, SearchBound(max_nodes=12)), Unknown)
+        assert isinstance(bounded_decide(phi, 12), Unknown)
         assert time.monotonic() - t0 < 600
 
 
@@ -158,7 +159,7 @@ def test_criterion_06_property_suites():
 
 def test_criterion_07_minimality_chain():
     t0 = time.monotonic()
-    bound = SearchBound(max_nodes=9)
+    bound = 9
     for phi in formula_corpus():
         hits = enumerate_inhabitants(phi, bound)
         if not hits:
@@ -176,7 +177,7 @@ def test_criterion_07_minimality_chain():
 
 
 def test_criterion_08_shadow_coherence():
-    bound = SearchBound(max_nodes=9)
+    bound = 9
     for phi in formula_corpus():
         if len(subformulas(phi)) > 5:
             continue

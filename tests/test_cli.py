@@ -106,6 +106,60 @@ def test_decide_json_schema(capsys):
     assert payload["witness_lambda"] == "\\x1:a. x1"
     assert payload["countermodel"] is None
     assert "wall_time" not in payload["stats"]
+    assert payload["caps"] == {
+        "engine": "auto",
+        "max_nodes": 10,
+        "max_shadows": 200_000,
+        "max_shadow_nodes": 40,
+        "max_label_candidates": 20_000,
+    }
+
+
+def test_cli_import_leaves_out_the_lemma_modules():
+    # the decision path needs neither the blueprint algebra nor the explicit
+    # shadows of the lemma checks
+    src = os.path.dirname(os.path.dirname(ticket.__file__))
+    code = (
+        "import json, sys, ticket.cli; "
+        "print(json.dumps([m for m in sys.modules if m.startswith('ticket')]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    )
+    loaded = set(json.loads(proc.stdout))
+    assert "ticket.shadow" in loaded
+    assert not loaded & {"ticket.blueprint", "ticket.compact"}
+
+
+@pytest.mark.parametrize("seconds", ["0", "-1"])
+@pytest.mark.parametrize("command", ["decide", "corpus"])
+def test_time_budget_below_one_second_is_rejected(capsys, tmp_path, command, seconds):
+    # signal.alarm(0) cancels the alarm, so a budget of 0 would run unbounded
+    target = "a->a"
+    if command == "corpus":
+        target = str(tmp_path / "f.txt")
+        (tmp_path / "f.txt").write_text("a->a\n")
+    code, out, err = run(capsys, command, target, "--time-budget", seconds)
+    assert code == 2
+    assert out == ""
+    assert "--time-budget" in err
+
+
+def test_time_budget_stops_the_search(capsys):
+    # the shadow engine does not finish on this theorem (its witness has 11
+    # nodes) within a second
+    phi = "(((b->b)->b->b)->b)->(b->b)->b"
+    code, out, _ = run(
+        capsys, "decide", phi, "--engine", "shadow", "--time-budget", "1", "--json"
+    )
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["verdict"] == "ResourceExhausted"
+    assert payload["stats"]["time_budget_hit"] is True
 
 
 def test_decide_json_deterministic(capsys):

@@ -19,7 +19,7 @@ from ticket.countermodel import (
     search_matrices,
 )
 from ticket.formula import Atom, Imp, parse_formula, print_formula
-from ticket.oracle import Inhabited, SearchBound, bounded_decide
+from ticket.oracle import Inhabited, bounded_decide
 from ticket.shadow import DecideConfig, decide
 
 from conftest import SEED, formula_corpus, random_derivation
@@ -150,7 +150,7 @@ def test_countermodels_agree_with_the_engines():
         if cm is None:
             continue
         check_countermodel(cm, phi)
-        witness = bounded_decide(phi, SearchBound(max_nodes=8))
+        witness = bounded_decide(phi, 8)
         assert not isinstance(witness, Inhabited), print_formula(phi)
         shadow = decide(phi, DecideConfig(engine="shadow")).verdict
         assert shadow != "Inhabited", print_formula(phi)

@@ -4,7 +4,6 @@ from ticket import oracle
 from ticket.formula import Imp, parse_formula
 from ticket.oracle import (
     Inhabited,
-    SearchBound,
     Unknown,
     _levels,
     bounded_decide,
@@ -17,20 +16,20 @@ from conftest import formula_corpus
 
 def test_identity_smallest():
     phi = parse_formula("a->a")
-    hits = enumerate_inhabitants(phi, SearchBound(max_nodes=6))
+    hits = enumerate_inhabitants(phi, 6)
     assert hits
     assert print_term(hits[0]) == "\\x1:a. x1"
 
 
 def test_witnesses_are_inhabitants():
     phi = parse_formula("(a->(a->b))->(a->b)")
-    for m in enumerate_inhabitants(phi, SearchBound(max_nodes=8)):
+    for m in enumerate_inhabitants(phi, 8):
         assert is_nf_inhabitant(m, phi)
 
 
 def test_ordered_by_size():
     phi = parse_formula("(a->a)->(a->a)")
-    hits = enumerate_inhabitants(phi, SearchBound(max_nodes=8))
+    hits = enumerate_inhabitants(phi, 8)
     sizes = [node_count(m) for m in hits]
     assert sizes == sorted(sizes)
     assert len(hits) > 1
@@ -44,18 +43,18 @@ def test_bounded_decide_positive():
 
 @pytest.mark.parametrize("text", ["a->(b->a)", "a->(a->a)", "((a->b)->a)->a", "a"])
 def test_bounded_decide_unknown_on_empty(text):
-    res = bounded_decide(parse_formula(text), SearchBound(max_nodes=8))
+    res = bounded_decide(parse_formula(text), 8)
     assert isinstance(res, Unknown)
 
 
 def test_bound_validation():
     with pytest.raises(ValueError):
-        SearchBound(max_nodes=0)
+        bounded_decide(parse_formula("a->a"), 0)
 
 
 def test_bounded_decide_stops_at_first_inhabited_size(monkeypatch):
     phi = parse_formula("((b->a)->b->a)->(b->a)->b->a")
-    bound = SearchBound(max_nodes=10)
+    bound = 10
     calls = []
     real = oracle.alpha_canonical
 
@@ -80,12 +79,12 @@ def test_pruning_loses_no_closed_term():
     n = 7
     for phi in formula_corpus():
         reference = []
-        for size, states in _levels(phi, SearchBound(max_nodes=2 * n)):
+        for size, states in _levels(phi, 2 * n):
             closed = [st.term for st in states if not st.free_types and st.term_type == phi]
             reference.extend(sorted(closed, key=print_term))
             if size == n:
                 break
-        assert enumerate_inhabitants(phi, SearchBound(max_nodes=n)) == reference
+        assert enumerate_inhabitants(phi, n) == reference
 
 
 def test_applications_look_up_arguments_by_type(monkeypatch):

@@ -2,25 +2,27 @@ import itertools
 
 import pytest
 
+import ticket.compact
 import ticket.shadow
 from ticket.blueprint import f_of
 from ticket.combinators import check_derivation
-from ticket.formula import parse_formula
-from ticket.oracle import SearchBound, enumerate_inhabitants
-from ticket.shadow import (
-    Caps,
-    DecideConfig,
-    _arg_positions,
-    _fn_sides,
-    _patterns,
-    _Solver,
-    decide,
+from ticket.compact import (
     enumerate_compact_shadows,
     inhabitant_with_domain,
     is_compact_shadow,
     is_phi_shadow,
     root_shadow,
     shadow_of,
+)
+from ticket.formula import parse_formula
+from ticket.oracle import enumerate_inhabitants
+from ticket.shadow import (
+    DecideConfig,
+    _arg_positions,
+    _fn_sides,
+    _patterns,
+    _Solver,
+    decide,
 )
 from ticket.terms import Lam, Var, VarRef, is_nf_inhabitant, print_term
 from ticket.formula import Atom, subformulas
@@ -46,7 +48,7 @@ def test_shadow_of_identity():
 
 def test_shadow_of_w_witness():
     phi = parse_formula("(a->(a->b))->(a->b)")
-    m = enumerate_inhabitants(phi, SearchBound(max_nodes=8))[0]
+    m = enumerate_inhabitants(phi, 8)[0]
     x = shadow_of(m, phi)
     assert is_phi_shadow(x, phi)
     assert is_compact_shadow(x)
@@ -116,7 +118,7 @@ def test_decide_stats_have_wall_time():
 
 def test_enumerate_contains_witness_domain():
     phi = parse_formula("(a->(a->b))->(a->b)")
-    m = enumerate_inhabitants(phi, SearchBound(max_nodes=8))[0]
+    m = enumerate_inhabitants(phi, 8)[0]
     x = shadow_of(m, phi)
     enum = enumerate_compact_shadows(phi)
     assert enum.complete
@@ -126,7 +128,7 @@ def test_enumerate_contains_witness_domain():
 
 def test_inhabitant_with_domain():
     phi = parse_formula("(a->(a->b))->(a->b)")
-    m = enumerate_inhabitants(phi, SearchBound(max_nodes=8))[0]
+    m = enumerate_inhabitants(phi, 8)[0]
     x = shadow_of(m, phi)
     found = inhabitant_with_domain(phi, x)
     assert found is not None
@@ -155,9 +157,10 @@ def test_config_validation():
         DecideConfig(max_nodes=0)
 
 
-def test_caps_resource_exhaustion():
+def test_caps_resource_exhaustion(monkeypatch):
+    monkeypatch.setattr(ticket.shadow, "MAX_SHADOW_NODES", 2)
     phi = parse_formula("(x->y)->((p->x)->(p->y))")
-    d = decide(phi, DecideConfig(engine="shadow", caps=Caps(max_shadow_nodes=2)))
+    d = decide(phi, DecideConfig(engine="shadow"))
     assert d.verdict == "ResourceExhausted"
 
 
@@ -210,9 +213,9 @@ C = "(a->b->c)->b->a->c"
 @pytest.mark.parametrize("text", [C, PEIRCE])
 def test_search_builds_no_blueprint(text, monkeypatch):
     calls = []
-    comb = ticket.shadow._comb
-    monkeypatch.setattr(ticket.shadow, "_comb", lambda *args: calls.append(args) or comb(*args))
-    assert _Solver(parse_formula(text), Caps()).solve() == ()
+    comb = ticket.compact._comb
+    monkeypatch.setattr(ticket.compact, "_comb", lambda *args: calls.append(args) or comb(*args))
+    assert _Solver(parse_formula(text), DecideConfig().max_shadows).solve() == ()
     assert calls == []
 
 
