@@ -3,8 +3,9 @@
 Subcommands:
   decide FORMULA   decide inhabitation; exit 0 Inhabited, 1 Empty,
                    3 ResourceExhausted, 2 parse/config error. The auto
-                   engine runs the bounded oracle, then the 3-valued
-                   countermodel search, then the shadow engine
+                   engine runs the 3-valued countermodel search (all 75
+                   matrices in one pass), then the bounded oracle, then
+                   the shadow engine
   check FILE.json FORMULA
                    verify a combinator certificate, or a countermodel (an
                    object with table, designated and assignment, as in the

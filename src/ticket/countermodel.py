@@ -26,8 +26,8 @@ from .formula import Atom, Formula, parse_formula, print_formula
 
 VALUES = (0, 1, 2)
 
-# Only formulas with at most this many distinct atoms are searched: a matrix
-# is tried on all 3**n assignments at once.
+# Only formulas with at most this many distinct atoms are searched: the
+# search evaluates every matrix on all 3**n assignments at once.
 MAX_ATOMS = 6
 
 # One matrix a word: the 9 table entries, a slash, the designated values.
@@ -51,6 +51,19 @@ MATRICES: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = tuple(
     (tuple(map(int, table)), tuple(map(int, designated)))
     for table, designated in (word.split("/") for word in _TABLE.split())
 )
+
+
+def _matrix_set(test) -> int:
+    """The matrices that pass test(table, designated), as a set of bits:
+    bit m stands for MATRICES[m]."""
+    return sum(1 << m for m, (table, designated) in enumerate(MATRICES) if test(table, designated))
+
+
+# The matrices whose table maps x -> y to v, at index 9v + 3x + y, for v = 0
+# and 1 (the sweep takes value 2 as the rest), and those that leave v
+# undesignated, at index v.
+_MAPS_TO = tuple(_matrix_set(lambda table, _: table[xy] == v) for v in (0, 1) for xy in range(9))
+_UNDESIGNATED = tuple(_matrix_set(lambda _, designated: v not in designated) for v in VALUES)
 
 
 class CountermodelError(Exception):
@@ -187,21 +200,66 @@ def search_matrices() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     return tuple(out)
 
 
+@functools.cache
+def _sweep_masks(n: int):
+    """The masks of the one-pass sweep over n atoms. Bit m * 3**n + row
+    stands for MATRICES[m] under row `row` of `_grid(n)`. A slot of the
+    sweep holds three masks: for each value 0, 1, 2, the bits at which the
+    slot takes that value. Returns the atom slots; (x, y, to0, to1) for each
+    pair of values, to_v being the bits whose matrix maps x -> y to v; and,
+    for each value, the bits whose matrix leaves it undesignated."""
+    rows = 3**n
+    gap = "0" * (rows - 1)
+    block = (1 << rows) - 1
+
+    def spread(matrices: int) -> int:
+        # bit m of `matrices` moves to bit m * rows, then fills its block
+        return block * int(gap.join(format(matrices, f"0{len(MATRICES)}b")), 2)
+
+    starts = int(gap.join("1" * len(MATRICES)), 2)
+    atoms = tuple(
+        tuple(starts * sum(1 << row for row, x in enumerate(column) if x == v) for v in VALUES)
+        for column in _grid(n)
+    )
+    pairs = tuple(
+        (x, y, spread(_MAPS_TO[3 * x + y]), spread(_MAPS_TO[9 + 3 * x + y]))
+        for x in VALUES
+        for y in VALUES
+    )
+    return atoms, pairs, tuple(map(spread, _UNDESIGNATED))
+
+
 def countermodel(phi: Formula) -> Countermodel | None:
     """The first matrix of `MATRICES` and the first assignment under which
     phi is undesignated, or None when every matrix validates phi or phi has
-    more than MAX_ATOMS distinct atoms."""
-    program = _program(phi)
-    atoms = program[0]
-    if len(atoms) > MAX_ATOMS:
+    more than MAX_ATOMS distinct atoms. One pass evaluates phi in all the
+    matrices under all the assignments at once (see `_sweep_masks`)."""
+    atoms, ops = _program(phi)
+    n = len(atoms)
+    if n > MAX_ATOMS:
         return None
-    grid = _grid(len(atoms))
-    for table, designated in MATRICES:
-        row = _first_undesignated(table, designated, program)
-        if row is not None:
-            assignment = tuple((name, column[row]) for name, column in zip(atoms, grid))
-            return Countermodel(table, designated, assignment)
-    return None
+    rows = 3**n
+    every_bit = (1 << len(MATRICES) * rows) - 1
+    slots, pairs, undesignated = _sweep_masks(n)
+    slots = list(slots)
+    for left, right in ops:
+        a, b = slots[left], slots[right]
+        z0 = z1 = 0
+        # left -> right is v where left is x, right is y and the matrix maps
+        # x -> y to v; it is 2 where it is neither 0 nor 1
+        for x, y, to0, to1 in pairs:
+            ab = a[x] & b[y]
+            z0 |= ab & to0
+            z1 |= ab & to1
+        slots.append((z0, z1, every_bit ^ (z0 | z1)))
+    last = slots[-1]
+    bad = (last[0] & undesignated[0]) | (last[1] & undesignated[1]) | (last[2] & undesignated[2])
+    if not bad:
+        return None
+    m, row = divmod((bad & -bad).bit_length() - 1, rows)
+    table, designated = MATRICES[m]
+    assignment = tuple((name, column[row]) for name, column in zip(atoms, _grid(n)))
+    return Countermodel(table, designated, assignment)
 
 
 def check_countermodel(cm: Countermodel, phi: Formula) -> None:

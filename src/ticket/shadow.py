@@ -328,17 +328,20 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
     """Decide inhabitation of phi. Inhabited verdicts always carry a checked
     lambda witness and a combinator certificate. Empty is claimed either
     with a checked 3-valued countermodel or by the complete shadow engine
-    with no limit tripped. `auto` runs the bounded oracle, then the
-    countermodel search, then the shadow engine, and stops at the first
-    verdict; `shadow` runs the shadow engine alone."""
+    with no limit tripped. `auto` runs the countermodel search, then the
+    bounded oracle, then the shadow engine, and stops at the first verdict;
+    no formula has both a countermodel and a witness, so the order changes
+    no verdict. `shadow` runs the shadow engine alone."""
     t0 = time.monotonic()
     if config.engine == "bounded":
         out = _decide_bounded(phi, config)
     elif config.engine == "shadow":
         out = _decide_shadow(phi, config)
     else:
-        out = _decide_bounded(phi, config)
-        if out.verdict != "Inhabited":
-            out = refute(phi) or _decide_shadow(phi, config)
+        out = refute(phi)
+        if out is None:
+            out = _decide_bounded(phi, config)
+            if out.verdict != "Inhabited":
+                out = _decide_shadow(phi, config)
     out.stats["wall_time"] = time.monotonic() - t0
     return out

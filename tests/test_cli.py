@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -57,6 +58,27 @@ def test_deep_nesting_fails_closed(command, tmp_path):
     assert proc.returncode == 2
     assert "nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _cli(*argv):
+    src = os.path.dirname(os.path.dirname(ticket.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "ticket.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_deep_formula_is_refuted_fast(tmp_path):
+    # auto tries the countermodel search before the oracle and the shadow
+    # search, which spend seconds on this formula or overflow
+    deep = "->".join(["a"] * 401)
+    t0 = time.monotonic()
+    proc = _cli("decide", deep, "--json")
+    assert time.monotonic() - t0 < 1
+    assert proc.returncode == 1
+    path = tmp_path / "countermodel.json"
+    path.write_text(json.dumps(json.loads(proc.stdout)["countermodel"]))
+    assert _cli("check", str(path), deep).returncode == 0
 
 
 def test_crash_fails_closed():

@@ -8,9 +8,12 @@ import time
 
 import pytest
 
+import ticket.countermodel
+import ticket.shadow
 from ticket.combinators import Axiom
 from ticket.countermodel import (
     MATRICES,
+    MAX_ATOMS,
     Countermodel,
     CountermodelError,
     all_matrices,
@@ -52,11 +55,11 @@ def test_named_failure_is_refuted_under_auto():
     check_countermodel(d.countermodel, NAMED_FAILURE)
 
 
-def _random_formula(rng, arrows):
+def _random_formula(rng, arrows, names="abc"):
     if arrows == 0:
-        return rng.choice((Atom("a"), Atom("b"), Atom("c")))
+        return Atom(rng.choice(names))
     k = rng.randrange(arrows)
-    return Imp(_random_formula(rng, k), _random_formula(rng, arrows - 1 - k))
+    return Imp(_random_formula(rng, k, names), _random_formula(rng, arrows - 1 - k, names))
 
 
 def _value(f, table, env):
@@ -71,8 +74,10 @@ def _atoms(f):
 
 def _naive_countermodel(phi):
     """The reference: every matrix in table order, every assignment in
-    lexicographic order, one evaluation at a time."""
+    lexicographic order, one evaluation at a time; None beyond MAX_ATOMS."""
     names = sorted(_atoms(phi))
+    if len(names) > MAX_ATOMS:
+        return None
     for table, designated in MATRICES:
         for values in itertools.product(range(3), repeat=len(names)):
             env = dict(zip(names, values))
@@ -81,17 +86,54 @@ def _naive_countermodel(phi):
     return None
 
 
+def _formula_over(rng, names):
+    """A random formula in which each of the names occurs."""
+    while True:
+        phi = _random_formula(rng, rng.randint(len(names) - 1, 2 * len(names) + 2), names)
+        if len(_atoms(phi)) == len(names):
+            return phi
+
+
 def test_countermodel_matches_naive_evaluation():
+    # the sweep lays its bits out by atom count, so every count is covered
     rng = random.Random(SEED)
     formulas = formula_corpus() + [_random_formula(rng, rng.randint(1, 8)) for _ in range(300)]
-    for phi in formulas:
+    formulas += [_formula_over(rng, "abcdef"[:n]) for n in (4, 5, 6) for _ in range(20)]
+    seven = _formula_over(rng, "abcdefg")
+    assert countermodel(seven) is None
+    for phi in formulas + [seven]:
         assert countermodel(phi) == _naive_countermodel(phi), print_formula(phi)
 
 
-def test_auto_engine_answers_theorems_before_countermodels():
+def test_countermodel_sweeps_once(monkeypatch):
+    calls = []
+    first_undesignated = ticket.countermodel._first_undesignated
+
+    def counted(*args):
+        calls.append(args)
+        return first_undesignated(*args)
+
+    monkeypatch.setattr(ticket.countermodel, "_first_undesignated", counted)
+    assert countermodel(parse_formula("(a->b->c)->(a->b)->a->c")) is None  # S
+    assert calls == []
+
+
+def test_auto_engine_gives_theorems_no_countermodel():
     d = decide(parse_formula("(a->a->b)->a->b"))
     assert d.verdict == "Inhabited"
     assert d.countermodel is None
+
+
+def test_auto_refutes_before_the_oracle(monkeypatch):
+    def oracle(*args):
+        raise AssertionError("the oracle ran on a non-theorem")
+
+    monkeypatch.setattr(ticket.shadow, "bounded_decide", oracle)
+    for text in ("a->b->a", "(a->b->c)->b->a->c", "((a->b)->a)->a", "((b->c->a)->a)->a->a"):
+        phi = parse_formula(text)
+        d = decide(phi)
+        assert d.verdict == "Empty", text
+        check_countermodel(d.countermodel, phi)
 
 
 def test_shadow_engine_carries_no_countermodel():
