@@ -35,6 +35,7 @@ import sys
 
 from .combinators import (
     CertificateError,
+    CertificateFormatError,
     check_derivation,
     derivation_from_json,
     derivation_to_json,
@@ -95,7 +96,7 @@ def _decide_with_budget(phi, config: DecideConfig, seconds: int | None) -> Decis
 
 
 def _config_from(args, engine: str) -> DecideConfig:
-    return DecideConfig(engine=engine, max_nodes=args.max_nodes, max_shadows=args.max_shadows)
+    return DecideConfig(engine=engine, max_nodes=args.max_nodes)
 
 
 def _decision_payload(phi, d: Decision, config: DecideConfig, emit: str) -> dict:
@@ -120,7 +121,6 @@ def _decision_payload(phi, d: Decision, config: DecideConfig, emit: str) -> dict
         "caps": {
             "engine": config.engine,
             "max_nodes": config.max_nodes,
-            "max_shadows": config.max_shadows,
             "max_shadow_nodes": MAX_SHADOW_NODES,
             "max_label_candidates": MAX_LABEL_CANDIDATES,
         },
@@ -169,11 +169,17 @@ def cmd_check(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except RecursionError:
+        print("error: certificate nested too deeply", file=sys.stderr)
+        return EXIT_ERROR
     if isinstance(data, dict) and "table" in data:
         return _check_countermodel(data, phi)
     try:
         derivation = derivation_from_json(data)
         derived = check_derivation(derivation)
+    except CertificateFormatError as exc:
+        print(f"error: malformed certificate: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except CertificateError as exc:
         print(f"invalid certificate: {exc}", file=sys.stderr)
         return EXIT_EMPTY
@@ -268,7 +274,6 @@ def _seconds(text: str) -> int:
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--engine", choices=["auto", "bounded", "shadow"], default="auto")
     p.add_argument("--max-nodes", type=int, default=10)
-    p.add_argument("--max-shadows", type=int, default=200_000)
     p.add_argument("--time-budget", type=_seconds, default=None, metavar="SECONDS")
 
 

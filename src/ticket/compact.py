@@ -39,7 +39,7 @@ from .blueprint import (
 )
 from .formula import Formula, subformulas
 from .oracle import _hits, _levels
-from .shadow import DecideConfig, _Solver
+from .shadow import _Solver
 from .terms import (
     Address,
     App,
@@ -628,12 +628,11 @@ def enumerate_compact_shadows(phi: Formula) -> Enumeration:
     repeats, ordered by domain size and domain. Every leaf is a variable node
     (chi = (psi,)).
 
-    `complete` and `exact` are the solver's, at the default limits:
-    `complete` is False when a limit (history length or memo size) stopped
-    the search; `exact` is False when
+    `complete` and `exact` are the solver's: `complete` is False when the
+    history length (`MAX_SHADOW_NODES`) cut the search; `exact` is False when
     some pruning step could not be decided exactly (then an Empty verdict
     downstream must degrade)."""
-    solver = _Solver(phi, DecideConfig().max_shadows)
+    solver = _Solver(phi)
     unique = dict.fromkeys(_solution_shadow(solver, m) for m in solver.solve())
     shadows = sorted(unique, key=lambda s: (len(s.domain), s.domain))
     return Enumeration(

@@ -35,7 +35,7 @@ class Atom:
 class Imp:
     """An arrow. Its hash is the dataclass's own, hash((antecedent,
     consequent)), computed once at construction: formulas are hashed at
-    every memo and set lookup of the search, and a deep formula's hash would
+    every dict and set lookup of the search, and a deep formula's hash would
     otherwise recurse through its whole tree. The constructor writes the
     attributes directly: the frozen dataclass's `object.__setattr__` per
     field plus a `__post_init__` would cost half as much again per arrow."""

@@ -152,14 +152,11 @@ class _Solver:
     """Exhaustive search for inhabitants whose shadows are compact.
 
     Constraints are path-local: a node is constrained only by the (arity,
-    psi, chi) labels of its ancestors, so sibling subtrees are independent
-    and results memoize on (chi, psi, k, history). At most `max_shadows`
-    results are memoized; tripping that limit clears `complete`."""
+    psi, chi) labels of its ancestors, so sibling subtrees are independent.
+    Only MAX_SHADOW_NODES clears `complete`."""
 
     phi: Formula
-    max_shadows: int
     subs: list[Formula] = field(default_factory=list)
-    memo: dict = field(default_factory=dict)
     complete: bool = True
     exact: bool = True
     expanded: int = 0
@@ -175,7 +172,9 @@ class _Solver:
                 self.fn_types.setdefault(f.consequent, []).append((f.antecedent, f))
 
     def solve(self) -> tuple[Term, ...]:
-        return self.sols((), self.phi, 0, frozenset(), False)
+        """The inhabitants of phi that `sols` finds, smallest first."""
+        found = self.sols((), self.phi, 0, frozenset(), False)
+        return tuple(sorted(found, key=lambda t: (node_count(t), print_term(t))))
 
     def sols(
         self,
@@ -184,7 +183,7 @@ class _Solver:
         k: int,
         hist: frozenset,
         fn_position: bool,
-    ) -> tuple[Term, ...]:
+    ) -> frozenset[Term]:
         """All normal HRM terms t with type psi, free types exactly chi at
         ranks 1..|chi|, whose subtree shadow extends the given ancestor
         history without breaking compactness. A function-position subterm is
@@ -192,17 +191,15 @@ class _Solver:
         skipped outright there. Every step adds a new (arity, psi, chi) entry
         to hist (a repeated entry fails feasibility), so len(hist) is the
         depth. An application's argument side is searched only for the
-        function sides that have solutions."""
-        key = (chi, psi, k, hist, fn_position)
-        if key in self.memo:
-            return self.memo[key]
+        function sides that have solutions, and each distinct argument side
+        once per call."""
         if len(hist) > MAX_SHADOW_NODES:
             self.complete = False
-            return ()
+            return frozenset()
         self.expanded += 1
-        out: list[Term] = []
+        out: set[Term] = set()
         if chi == (psi,):
-            out.append(Var(VarRef(1, psi)))
+            out.add(Var(VarRef(1, psi)))
         if isinstance(psi, Imp) and len(chi) < k + 1 and not fn_position:
             if self._tags(chi, 1, psi, hist) is not None:
                 child_hist = hist | {(1, psi, chi)}
@@ -210,7 +207,7 @@ class _Solver:
                 for t in self.sols(
                     chi + (psi.antecedent,), psi.consequent, k + 1, child_hist, False
                 ):
-                    out.append(Lam(binder, t))
+                    out.add(Lam(binder, t))
         if self._tags(chi, 2, psi, hist) is not None:
             child_hist = hist | {(2, psi, chi)}
             r = len(chi)
@@ -218,6 +215,8 @@ class _Solver:
             if sides is None:
                 sides = self.fn_sides[chi] = _fn_sides(chi)
             for psi2, fn_type in self.fn_types.get(psi, ()):
+                # chi2 -> the argument side's solutions
+                args: dict[tuple[Formula, ...], frozenset[Term]] = {}
                 for chi1, fn_positions in sides:
                     sols1 = self.sols(chi1, fn_type, k, child_hist, True)
                     if not sols1:
@@ -225,21 +224,16 @@ class _Solver:
                     for pos1 in fn_positions:
                         for pos2 in _arg_positions(r, pos1):
                             chi2 = tuple(chi[p - 1] for p in pos2)
-                            sols2 = self.sols(chi2, psi2, k, child_hist, False)
+                            sols2 = args.get(chi2)
+                            if sols2 is None:
+                                sols2 = args[chi2] = self.sols(chi2, psi2, k, child_hist, False)
                             for t1 in sols1:
                                 for t2 in sols2:
                                     left = _rerank_free(t1, chi1, pos1, r)
                                     lb = {ref.rank for ref in bound_refs(left)}
                                     right = _rerank_free(t2, chi2, pos2, r + len(lb))
-                                    out.append(alpha_canonical(App(left, right)))
-        result = tuple(
-            sorted(set(out), key=lambda t: (node_count(t), print_term(t)))
-        )
-        if len(self.memo) < self.max_shadows:
-            self.memo[key] = result
-        else:
-            self.complete = False
-        return result
+                                    out.add(alpha_canonical(App(left, right)))
+        return frozenset(out)
 
     def _tags(
         self, chi: tuple[Formula, ...], arity: int, psi: Formula, hist: frozenset
@@ -258,12 +252,11 @@ class _Solver:
 
 @dataclass(frozen=True)
 class DecideConfig:
-    """`max_nodes` bounds the oracle's witness size, `max_shadows` the shadow
-    search's memo entries."""
+    """`engine` picks the engine and `max_nodes` bounds the oracle's witness
+    size; the shadow search's limits are the module constants."""
 
     engine: str = "auto"
     max_nodes: int = 10
-    max_shadows: int = 200_000
 
     def __post_init__(self) -> None:
         if self.engine not in ("auto", "bounded", "shadow"):
@@ -306,13 +299,12 @@ def refute(phi: Formula) -> Decision | None:
     return Decision("Empty", None, None, {"engine": "countermodel", "matrices_tried": tried}, cm)
 
 
-def _decide_shadow(phi: Formula, config: DecideConfig) -> Decision:
-    solver = _Solver(phi, config.max_shadows)
+def _decide_shadow(phi: Formula) -> Decision:
+    solver = _Solver(phi)
     witnesses = solver.solve()
     stats: dict[str, Any] = {
         "engine": "shadow",
         "expanded": solver.expanded,
-        "memo_entries": len(solver.memo),
         "witnesses": len(witnesses),
         "closure_complete": solver.complete,
         "closure_exact": solver.exact,
@@ -336,12 +328,12 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
     if config.engine == "bounded":
         out = _decide_bounded(phi, config)
     elif config.engine == "shadow":
-        out = _decide_shadow(phi, config)
+        out = _decide_shadow(phi)
     else:
         out = refute(phi)
         if out is None:
             out = _decide_bounded(phi, config)
             if out.verdict != "Inhabited":
-                out = _decide_shadow(phi, config)
+                out = _decide_shadow(phi)
     out.stats["wall_time"] = time.monotonic() - t0
     return out

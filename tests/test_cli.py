@@ -45,11 +45,26 @@ def test_decide_parse_error_exit_2(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("command", ["decide", "check"])
+# a valid derivation of a->a, 2000 modus ponens steps deep: I applied to I
+# again and again
+DEEP_CERT = (
+    '{"kind": "mp", "type": "a->a", "children": [{"kind": "I", "type": "(a->a)->a->a"}, ' * 2000
+    + '{"kind": "I", "type": "a->a"}'
+    + "]}" * 2000
+)
+
+
+@pytest.mark.parametrize("command", ["decide", "check", "check-certificate"])
 def test_deep_nesting_fails_closed(command, tmp_path):
     path = tmp_path / "cert.json"
-    path.write_text('{"kind": "I", "type": "a->a"}')
-    argv = [command, DEEP] if command == "decide" else [command, str(path), DEEP]
+    if command == "decide":
+        argv = [command, DEEP]
+    elif command == "check":
+        path.write_text('{"kind": "I", "type": "a->a"}')
+        argv = [command, str(path), DEEP]
+    else:
+        path.write_text(DEEP_CERT)
+        argv = ["check", str(path), "a->a"]
     src = os.path.dirname(os.path.dirname(ticket.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -131,7 +146,6 @@ def test_decide_json_schema(capsys):
     assert payload["caps"] == {
         "engine": "auto",
         "max_nodes": 10,
-        "max_shadows": 200_000,
         "max_shadow_nodes": 40,
         "max_label_candidates": 20_000,
     }
@@ -169,6 +183,17 @@ def test_time_budget_below_one_second_is_rejected(capsys, tmp_path, command, sec
     assert code == 2
     assert out == ""
     assert "--time-budget" in err
+
+
+@pytest.mark.parametrize("command", ["decide", "corpus"])
+def test_max_shadows_is_not_an_option(capsys, tmp_path, command):
+    path = tmp_path / "corpus.txt"
+    path.write_text("a->a\n")
+    target = "a->a" if command == "decide" else str(path)
+    code, out, err = run(capsys, command, target, "--max-shadows", "5")
+    assert code == 2
+    assert out == ""
+    assert "--max-shadows" in err
 
 
 def test_time_budget_stops_the_search(capsys):
@@ -222,6 +247,25 @@ def test_check_malformed_json(capsys, tmp_path):
     path.write_text("{truncated")
     code, _, err = run(capsys, "check", str(path), "a->a")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"foo": 1}',
+        "[1, 2]",
+        '{"kind": "mp", "type": "a->a"}',
+        '{"kind": "X", "type": "a->a"}',
+        '{"kind": "I", "type": "a->"}',
+    ],
+    ids=["no-kind", "list", "mp-without-children", "unknown-kind", "bad-type"],
+)
+def test_check_malformed_certificate(capsys, tmp_path, text):
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "check", str(path), "a->a")
+    assert code == 2
+    assert err.startswith("error: malformed certificate")
 
 
 def test_corpus_agreement(capsys, tmp_path):
