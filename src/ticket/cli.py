@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import signal
+import math
 import sys
 
 from .combinators import (
@@ -71,32 +71,8 @@ _VERDICT_EXIT = {
 }
 
 
-class _Budget(Exception):
-    pass
-
-
-def _alarm(signum, frame):
-    raise _Budget()
-
-
-def _decide_with_budget(phi, config: DecideConfig, seconds: int | None) -> Decision:
-    if seconds is None or not hasattr(signal, "SIGALRM"):
-        return decide(phi, config)
-    old = signal.signal(signal.SIGALRM, _alarm)
-    signal.alarm(seconds)
-    try:
-        return decide(phi, config)
-    except _Budget:
-        return Decision(
-            "ResourceExhausted", None, None, {"engine": config.engine, "time_budget_hit": True}
-        )
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-
-
 def _config_from(args, engine: str) -> DecideConfig:
-    return DecideConfig(engine=engine, max_nodes=args.max_nodes)
+    return DecideConfig(engine=engine, max_nodes=args.max_nodes, time_budget=args.time_budget)
 
 
 def _decision_payload(phi, d: Decision, config: DecideConfig, emit: str) -> dict:
@@ -148,7 +124,7 @@ def cmd_decide(args) -> int:
     except (FormulaSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    d = _decide_with_budget(phi, config, args.time_budget)
+    d = decide(phi, config)
     if args.json:
         payload = _decision_payload(phi, d, config, args.emit)
         sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
@@ -237,10 +213,7 @@ def cmd_corpus(args) -> int:
 
     disagreements = unrefuted = 0
     for _, phi in formulas:
-        verdicts = {
-            name: _decide_with_budget(phi, cfg, args.time_budget).verdict
-            for name, cfg in configs.items()
-        }
+        verdicts = {name: decide(phi, cfg).verdict for name, cfg in configs.items()}
         if args.engine == "auto":
             verdicts["countermodel"] = "none" if refute(phi) is None else "Empty"
         # bounded never claims Empty, so the only hard conflict is
@@ -263,11 +236,10 @@ def cmd_corpus(args) -> int:
     return EXIT_INHABITED if disagreements == 0 else EXIT_EMPTY
 
 
-def _seconds(text: str) -> int:
-    # signal.alarm(0) would cancel the budget instead of enforcing it
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 

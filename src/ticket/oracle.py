@@ -12,6 +12,8 @@ inhabitant.
 """
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -77,12 +79,15 @@ def _rerank_free(m: Term, old_free: tuple[Formula, ...], positions: tuple[int, .
     return _rename_bound(m, mapping)
 
 
-def _levels(phi: Formula, max_nodes: int) -> Iterator[tuple[int, list[_State]]]:
+def _levels(
+    phi: Formula, max_nodes: int, deadline: float = math.inf
+) -> Iterator[tuple[int, list[_State]]]:
     """Yield `(size, states)` for sizes 1..max_nodes, each level as soon as it
     is built. Above size 1, a term of `size` nodes with p free variables is
     built only if size + p <= max_nodes (see the module docstring). Each
     level is also grouped by type, so an application pairs a function only
-    with the arguments of its antecedent type."""
+    with the arguments of its antecedent type. Raises TimeoutError once
+    `time.monotonic()` passes `deadline`."""
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
     subs = subformulas(phi)
@@ -110,6 +115,8 @@ def _levels(phi: Formula, max_nodes: int) -> Iterator[tuple[int, list[_State]]]:
         # abstractions over size-1 bodies: one more node and one fewer free
         # variable keep size + p within the limit, so they need no check
         for st in by_size[size - 1]:
+            if time.monotonic() > deadline:
+                raise TimeoutError
             if st.free_types:
                 p = len(st.free_types)
                 binder = VarRef(p, st.free_types[-1])
@@ -122,7 +129,11 @@ def _levels(phi: Formula, max_nodes: int) -> Iterator[tuple[int, list[_State]]]:
             for st1 in by_size[s1]:
                 if isinstance(st1.term, Lam) or not isinstance(st1.term_type, Imp):
                     continue
+                # one function can meet thousands of arguments, so the
+                # deadline is checked per pair
                 for st2 in by_type[s2].get(st1.term_type.antecedent, ()):
+                    if time.monotonic() > deadline:
+                        raise TimeoutError
                     for r, pa, pb in _merges(st1.free_types, st2.free_types):
                         if size + r > max_nodes:
                             continue
@@ -151,22 +162,15 @@ def enumerate_inhabitants(phi: Formula, max_nodes: int = 10) -> list[Term]:
     return [m for _, states in _levels(phi, max_nodes) for m in _hits(phi, states)]
 
 
-@dataclass(frozen=True)
-class Inhabited:
-    witness: Term
-
-
-@dataclass(frozen=True)
-class Unknown:
-    pass
-
-
-def bounded_decide(phi: Formula, max_nodes: int = 10) -> Inhabited | Unknown:
+def bounded_decide(
+    phi: Formula, max_nodes: int = 10, deadline: float = math.inf
+) -> Term | None:
     """Semi-decision: the smallest witness of at most max_nodes nodes, or
-    Unknown. Never claims emptiness. Stops at the first size that has an
-    inhabitant and builds no larger term."""
-    for _, states in _levels(phi, max_nodes):
+    None. Never claims emptiness. Stops at the first size that has an
+    inhabitant and builds no larger term. Raises TimeoutError once
+    `time.monotonic()` passes `deadline`."""
+    for _, states in _levels(phi, max_nodes, deadline):
         hits = _hits(phi, states)
         if hits:
-            return Inhabited(hits[0])
-    return Unknown()
+            return hits[0]
+    return None

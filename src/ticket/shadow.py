@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -31,7 +32,7 @@ from typing import Any
 from .combinators import CombDerivation, extract_combinator
 from .countermodel import MATRICES, Countermodel, check_countermodel, countermodel
 from .formula import Formula, Imp, contraction_closure, formula_sort_key, subformulas
-from .oracle import Inhabited as OracleInhabited, bounded_decide, _rerank_free
+from .oracle import bounded_decide, _rerank_free
 from .terms import (
     App,
     Lam,
@@ -94,12 +95,14 @@ def _feasible_tags(
     chi: tuple[Formula, ...],
     constraints: frozenset[tuple[Formula, ...]],
     subs: list[Formula],
+    deadline: float = math.inf,
 ) -> tuple[tuple[Formula, ...] | None, bool]:
     """Spine tags, over subs, of a right-leaf comb (`compact._comb`) with chi
     in its F and no constraint sequence in the union of F over its graft
     closure, and whether the answer is exact. The tags are None if no such
     comb exists (exact) or none was found within MAX_LABEL_CANDIDATES tag
-    patterns (inexact)."""
+    patterns (inexact). One test can try thousands of patterns, so it raises
+    TimeoutError once `time.monotonic()` passes `deadline`."""
     n = len(chi)
     if constraints & contraction_closure(frozenset({chi})):
         # every admissible gamma has F containing all contractions of chi
@@ -112,6 +115,8 @@ def _feasible_tags(
         count += 1
         if count > MAX_LABEL_CANDIDATES:
             return None, False
+        if time.monotonic() > deadline:
+            raise TimeoutError
         if not (_comb_universe(chi, pattern) & constraints):
             return tuple(subs[c] for c in pattern), True
     return None, False
@@ -153,9 +158,11 @@ class _Solver:
 
     Constraints are path-local: a node is constrained only by the (arity,
     psi, chi) labels of its ancestors, so sibling subtrees are independent.
-    Only MAX_SHADOW_NODES clears `complete`."""
+    Only MAX_SHADOW_NODES clears `complete`. Once `time.monotonic()` passes
+    `deadline`, `sols` and the feasibility tests raise TimeoutError."""
 
     phi: Formula
+    deadline: float = math.inf
     subs: list[Formula] = field(default_factory=list)
     complete: bool = True
     exact: bool = True
@@ -196,6 +203,8 @@ class _Solver:
         if len(hist) > MAX_SHADOW_NODES:
             self.complete = False
             return frozenset()
+        if time.monotonic() > self.deadline:
+            raise TimeoutError
         self.expanded += 1
         out: set[Term] = set()
         if chi == (psi,):
@@ -242,7 +251,7 @@ class _Solver:
         below the given ancestor history, or None when the node is not
         feasible; a None that is not a proof clears exact."""
         constraints = frozenset(c for (r, p, c) in hist if r == arity and p == psi)
-        tags, exact = _feasible_tags(chi, constraints, self.subs)
+        tags, exact = _feasible_tags(chi, constraints, self.subs, self.deadline)
         if not exact:
             self.exact = False
         return tags
@@ -253,16 +262,22 @@ class _Solver:
 @dataclass(frozen=True)
 class DecideConfig:
     """`engine` picks the engine and `max_nodes` bounds the oracle's witness
-    size; the shadow search's limits are the module constants."""
+    size; the shadow search's limits are the module constants. `time_budget`,
+    in seconds, bounds the wall time of one `decide` call; None means no
+    limit. The budget is checked inside the searches, so it works from any
+    thread."""
 
     engine: str = "auto"
     max_nodes: int = 10
+    time_budget: float | None = None
 
     def __post_init__(self) -> None:
         if self.engine not in ("auto", "bounded", "shadow"):
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
+        if self.time_budget is not None and not 0 < self.time_budget < math.inf:
+            raise ValueError(f"time_budget must be positive and finite, got {self.time_budget}")
 
 
 @dataclass
@@ -280,11 +295,11 @@ def _inhabited(witness: Term, phi: Formula, stats: dict[str, Any]) -> Decision:
     return Decision("Inhabited", witness, cert, stats)
 
 
-def _decide_bounded(phi: Formula, config: DecideConfig) -> Decision:
-    res = bounded_decide(phi, config.max_nodes)
+def _decide_bounded(phi: Formula, config: DecideConfig, deadline: float) -> Decision:
+    witness = bounded_decide(phi, config.max_nodes, deadline)
     stats: dict[str, Any] = {"engine": "bounded", "max_nodes": config.max_nodes}
-    if isinstance(res, OracleInhabited):
-        return _inhabited(res.witness, phi, stats)
+    if witness is not None:
+        return _inhabited(witness, phi, stats)
     return Decision("ResourceExhausted", None, None, stats)
 
 
@@ -299,8 +314,8 @@ def refute(phi: Formula) -> Decision | None:
     return Decision("Empty", None, None, {"engine": "countermodel", "matrices_tried": tried}, cm)
 
 
-def _decide_shadow(phi: Formula) -> Decision:
-    solver = _Solver(phi)
+def _decide_shadow(phi: Formula, deadline: float) -> Decision:
+    solver = _Solver(phi, deadline)
     witnesses = solver.solve()
     stats: dict[str, Any] = {
         "engine": "shadow",
@@ -323,17 +338,24 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
     with no limit tripped. `auto` runs the countermodel search, then the
     bounded oracle, then the shadow engine, and stops at the first verdict;
     no formula has both a countermodel and a witness, so the order changes
-    no verdict. `shadow` runs the shadow engine alone."""
+    no verdict. `shadow` runs the shadow engine alone. When
+    `config.time_budget` runs out, the verdict is ResourceExhausted with
+    `time_budget_hit` in the stats."""
     t0 = time.monotonic()
-    if config.engine == "bounded":
-        out = _decide_bounded(phi, config)
-    elif config.engine == "shadow":
-        out = _decide_shadow(phi)
-    else:
-        out = refute(phi)
-        if out is None:
-            out = _decide_bounded(phi, config)
-            if out.verdict != "Inhabited":
-                out = _decide_shadow(phi)
+    deadline = math.inf if config.time_budget is None else t0 + config.time_budget
+    try:
+        if config.engine == "bounded":
+            out = _decide_bounded(phi, config, deadline)
+        elif config.engine == "shadow":
+            out = _decide_shadow(phi, deadline)
+        else:
+            out = refute(phi)
+            if out is None:
+                out = _decide_bounded(phi, config, deadline)
+                if out.verdict != "Inhabited":
+                    out = _decide_shadow(phi, deadline)
+    except TimeoutError:
+        stats = {"engine": config.engine, "time_budget_hit": True}
+        out = Decision("ResourceExhausted", None, None, stats)
     out.stats["wall_time"] = time.monotonic() - t0
     return out

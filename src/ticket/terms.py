@@ -134,7 +134,7 @@ def free_vars(m: Term) -> tuple[VarRef, ...]:
 def bound_refs(m: Term) -> list[VarRef]:
     """Binder references in preorder traversal order."""
     out: list[VarRef] = []
-    for _, t in sorted(addresses(m)):
+    for _, t in addresses(m):
         if isinstance(t, Lam):
             out.append(t.binder)
     return out
@@ -364,11 +364,7 @@ def alpha_canonical(m: Term) -> Term:
     ranks above all free ranks, assigned in original rank order (so the HRM
     rank constraints are preserved)."""
     type_of(m)
-    free = _free_map(m)
-    base = max(free) if free else 0
-    bounds = sorted(set(bound_refs(m)), key=lambda r: r.rank)
-    mapping = {old: VarRef(base + i + 1, old.var_type) for i, old in enumerate(bounds)}
-    return _rename_bound(m, mapping) if mapping else m
+    return rename_bound_above(m, max(_free_map(m), default=0))
 
 
 def print_term(m: Term) -> str:

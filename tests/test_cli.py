@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -171,10 +172,9 @@ def test_cli_import_leaves_out_the_lemma_modules():
     assert not loaded & {"ticket.blueprint", "ticket.compact"}
 
 
-@pytest.mark.parametrize("seconds", ["0", "-1"])
+@pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("command", ["decide", "corpus"])
-def test_time_budget_below_one_second_is_rejected(capsys, tmp_path, command, seconds):
-    # signal.alarm(0) cancels the alarm, so a budget of 0 would run unbounded
+def test_time_budget_must_be_positive(capsys, tmp_path, command, seconds):
     target = "a->a"
     if command == "corpus":
         target = str(tmp_path / "f.txt")
@@ -207,6 +207,22 @@ def test_time_budget_stops_the_search(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "ResourceExhausted"
     assert payload["stats"]["time_budget_hit"] is True
+
+
+def test_time_budget_takes_fractions_of_a_second(capsys):
+    code, out, _ = run(capsys, "decide", "a->a", "--time-budget", "0.5")
+    assert code == 0
+    assert "Inhabited" in out
+
+
+def test_time_budget_works_off_the_main_thread(capsys):
+    codes = []
+    worker = threading.Thread(
+        target=lambda: codes.append(main(["decide", "a->a", "--time-budget", "1"]))
+    )
+    worker.start()
+    worker.join()
+    assert codes == [0]
 
 
 def test_decide_json_deterministic(capsys):

@@ -2,13 +2,7 @@ import pytest
 
 from ticket import oracle
 from ticket.formula import Imp, parse_formula
-from ticket.oracle import (
-    Inhabited,
-    Unknown,
-    _levels,
-    bounded_decide,
-    enumerate_inhabitants,
-)
+from ticket.oracle import _levels, bounded_decide, enumerate_inhabitants
 from ticket.terms import is_nf_inhabitant, node_count, print_term
 
 from conftest import formula_corpus
@@ -37,14 +31,13 @@ def test_ordered_by_size():
 
 def test_bounded_decide_positive():
     res = bounded_decide(parse_formula("(x->y)->((p->x)->(p->y))"))
-    assert isinstance(res, Inhabited)
-    assert print_term(res.witness) == "\\x1:x->y. \\x2:p->x. \\x3:p. x1 (x2 x3)"
+    assert res is not None
+    assert print_term(res) == "\\x1:x->y. \\x2:p->x. \\x3:p. x1 (x2 x3)"
 
 
 @pytest.mark.parametrize("text", ["a->(b->a)", "a->(a->a)", "((a->b)->a)->a", "a"])
 def test_bounded_decide_unknown_on_empty(text):
-    res = bounded_decide(parse_formula(text), 8)
-    assert isinstance(res, Unknown)
+    assert bounded_decide(parse_formula(text), 8) is None
 
 
 def test_bound_validation():
@@ -67,9 +60,9 @@ def test_bounded_decide_stops_at_first_inhabited_size(monkeypatch):
     decided = len(calls)
     hits = enumerate_inhabitants(phi, bound)
     enumerated = len(calls) - decided
-    assert isinstance(res, Inhabited)
-    assert res.witness == hits[0]
-    assert node_count(res.witness) == 2
+    assert res is not None
+    assert res == hits[0]
+    assert node_count(res) == 2
     assert decided < enumerated
 
 
@@ -100,5 +93,5 @@ def test_applications_look_up_arguments_by_type(monkeypatch):
         return real(self, other)
 
     monkeypatch.setattr(Imp, "__eq__", counting)
-    assert isinstance(bounded_decide(phi), Unknown)
+    assert bounded_decide(phi) is None
     assert len(calls) < 20_000

@@ -1,4 +1,7 @@
 import itertools
+import math
+import threading
+import time
 
 import pytest
 
@@ -19,6 +22,7 @@ from ticket.oracle import enumerate_inhabitants
 from ticket.shadow import (
     DecideConfig,
     _arg_positions,
+    _feasible_tags,
     _fn_sides,
     _patterns,
     _Solver,
@@ -155,6 +159,43 @@ def test_config_validation():
         DecideConfig(engine="warp")
     with pytest.raises(ValueError):
         DecideConfig(max_nodes=0)
+    for seconds in (0, -1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            DecideConfig(time_budget=seconds)
+
+
+@pytest.mark.parametrize(
+    "limits", [{"engine": "shadow"}, {"engine": "bounded", "max_nodes": 16}], ids=["shadow", "bounded"]
+)
+def test_time_budget_stops_either_engine_off_the_main_thread(limits):
+    # neither engine decides this theorem within the budget: the shadow
+    # search does not finish, and the oracle's witness has 11 nodes
+    phi = parse_formula("(((b->b)->b->b)->b)->(b->b)->b")
+    config = DecideConfig(**limits, time_budget=0.3)
+    result = {}
+
+    def work():
+        t0 = time.monotonic()
+        result["decision"] = decide(phi, config)
+        result["seconds"] = time.monotonic() - t0
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    worker.join()
+    d = result["decision"]
+    assert d.verdict == "ResourceExhausted"
+    assert d.stats["time_budget_hit"] is True
+    assert result["seconds"] < config.time_budget + 0.5
+
+
+def test_feasibility_test_checks_the_deadline():
+    # one feasibility test can try MAX_LABEL_CANDIDATES tag patterns (one
+    # ran for about 19 s on ((b->c->a)->a)->a->a), so the deadline is
+    # checked per pattern, not only per search node
+    chi, constraints = (a, a, a), frozenset({(Atom("b"),)})
+    assert _feasible_tags(chi, constraints, [a]) == ((a, a), True)
+    with pytest.raises(TimeoutError):
+        _feasible_tags(chi, constraints, [a], deadline=0.0)
 
 
 def test_caps_resource_exhaustion(monkeypatch):

@@ -8,6 +8,7 @@ from ticket.terms import (
     VarRef,
     addresses,
     alpha_canonical,
+    bound_refs,
     free_vars,
     hrm_normalize,
     is_hrm,
@@ -118,17 +119,19 @@ def test_alpha_canonical_rank_insensitive():
     assert alpha_canonical(m) == alpha_canonical(w_term())
 
 
-def test_rename_bound_above():
+def test_rename_bound_above(open_terms, closed_terms):
     m = rename_bound_above(w_term(), 10)
-    ranks = {r.rank for r in _bound(m)}
+    ranks = {r.rank for r in bound_refs(m)}
     assert ranks == {11, 12}
     assert alpha_canonical(m) == alpha_canonical(w_term())
-
-
-def _bound(m):
-    from ticket.terms import bound_refs
-
-    return bound_refs(m)
+    # the pool terms are alpha-canonical already
+    for m, _ in open_terms + closed_terms:
+        # preorder is the order of the sorted addresses
+        in_address_order = [t.binder for _, t in sorted(addresses(m)) if isinstance(t, Lam)]
+        assert bound_refs(m) == in_address_order
+        moved = rename_bound_above(m, 50)
+        assert all(r.rank > 50 for r in bound_refs(moved))
+        assert alpha_canonical(moved) == m
 
 
 def test_replace_at():
