@@ -29,6 +29,7 @@ byte-identical bytes (wall-clock time is reported only in text mode). The
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -249,7 +250,9 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-budget", type=_seconds, default=None, metavar="SECONDS")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="ticket",
         description="Decide inhabitation of implicational formulas and "

@@ -7,7 +7,6 @@ no unification and no atom schemata anywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 import re
 
 
@@ -141,11 +140,17 @@ def print_formula(f: Formula) -> str:
     return f"{left}->{print_formula(f.consequent)}"
 
 
-@lru_cache(maxsize=None)
 def subformulas(f: Formula) -> frozenset[Formula]:
-    if isinstance(f, Atom):
-        return frozenset({f})
-    return subformulas(f.antecedent) | subformulas(f.consequent) | {f}
+    """All subformulas of f, f included. Iterative, so depth is no limit."""
+    seen: set[Formula] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g not in seen:
+            seen.add(g)
+            if isinstance(g, Imp):
+                stack += (g.antecedent, g.consequent)
+    return frozenset(seen)
 
 
 def contraction_closure(seqs: frozenset[tuple[Formula, ...]]) -> frozenset[tuple[Formula, ...]]:

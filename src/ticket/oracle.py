@@ -1,8 +1,11 @@
 """Brute-force enumeration of normal HRM inhabitants.
 
 Ground truth for cross-validation: a bottom-up dynamic program over term
-size. Open terms are kept alpha-canonical with free ranks 1..p; only the
-order type of ranks matters for HRM and typing, so this loses nothing.
+size. Only the order type of ranks matters for HRM and typing, so every term
+is built canonical (`ticket.terms`): a variable is rank 1, an abstraction
+binds the greatest free rank, and an application places both sides with
+`place_canonical`. No term is built twice, and a term's free types come
+from its construction.
 
 Only terms that can still close within the node bound are built. Merges
 place free ranks injectively, so a term of s nodes with p free variables
@@ -18,18 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .formula import Formula, Imp, formula_sort_key, subformulas
-from .terms import (
-    App,
-    Lam,
-    Term,
-    Var,
-    VarRef,
-    _rename_bound,
-    alpha_canonical,
-    bound_refs,
-    free_vars,
-    print_term,
-)
+from .terms import App, Lam, Term, Var, VarRef, place_canonical, print_term
 
 
 @dataclass(frozen=True)
@@ -41,42 +33,24 @@ class _State:
 
 def _merges(a: tuple[Formula, ...], b: tuple[Formula, ...]):
     """All order-preserving merges of two type sequences into positions
-    1..r, sharing a position only at equal types. Yields (r, pos_a, pos_b)."""
-    out: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+    1..r, sharing a position only at equal types. Yields (merged, pos_a,
+    pos_b), where merged is the merged type sequence of length r."""
+    out: list[tuple[tuple[Formula, ...], tuple[int, ...], tuple[int, ...]]] = []
 
-    def go(i: int, j: int, pa: list[int], pb: list[int], nxt: int) -> None:
+    def go(i: int, j: int, merged: tuple, pa: tuple, pb: tuple) -> None:
         if i == len(a) and j == len(b):
-            out.append((nxt - 1, tuple(pa), tuple(pb)))
+            out.append((merged, pa, pb))
             return
+        nxt = len(merged) + 1
         if i < len(a):
-            pa.append(nxt)
-            go(i + 1, j, pa, pb, nxt + 1)
-            pa.pop()
+            go(i + 1, j, merged + (a[i],), pa + (nxt,), pb)
         if j < len(b):
-            pb.append(nxt)
-            go(i, j + 1, pa, pb, nxt + 1)
-            pb.pop()
+            go(i, j + 1, merged + (b[j],), pa, pb + (nxt,))
         if i < len(a) and j < len(b) and a[i] == b[j]:
-            pa.append(nxt)
-            pb.append(nxt)
-            go(i + 1, j + 1, pa, pb, nxt + 1)
-            pa.pop()
-            pb.pop()
+            go(i + 1, j + 1, merged + (a[i],), pa + (nxt,), pb + (nxt,))
 
-    go(0, 0, [], [], 1)
+    go(0, 0, (), (), ())
     return out
-
-
-def _rerank_free(m: Term, old_free: tuple[Formula, ...], positions: tuple[int, ...], bound_base: int) -> Term:
-    """Map free rank i -> positions[i-1]; move bound ranks above bound_base
-    preserving their order."""
-    mapping: dict[VarRef, VarRef] = {}
-    for i, tau in enumerate(old_free):
-        mapping[VarRef(i + 1, tau)] = VarRef(positions[i], tau)
-    bounds = sorted(set(bound_refs(m)), key=lambda r: r.rank)
-    for k, ref in enumerate(bounds):
-        mapping[ref] = VarRef(bound_base + k + 1, ref.var_type)
-    return _rename_bound(m, mapping)
 
 
 def _levels(
@@ -93,21 +67,15 @@ def _levels(
     subs = subformulas(phi)
     by_size: dict[int, list[_State]] = {}
     by_type: dict[int, dict[Formula, list[_State]]] = {}
-    seen: set[Term] = set()
 
-    def add(size: int, term: Term, term_type: Formula) -> None:
-        canonical = alpha_canonical(term)
-        if canonical in seen:
-            return
-        seen.add(canonical)
-        ftypes = tuple(v.var_type for v in free_vars(canonical))
-        st = _State(canonical, term_type, ftypes)
+    def add(size: int, term: Term, term_type: Formula, free_types: tuple[Formula, ...]) -> None:
+        st = _State(term, term_type, free_types)
         by_size[size].append(st)
         by_type[size].setdefault(term_type, []).append(st)
 
     by_size[1], by_type[1] = [], {}
     for tau in sorted(subs, key=formula_sort_key):
-        add(1, Var(VarRef(1, tau)), tau)
+        add(1, Var(VarRef(1, tau)), tau, (tau,))
     yield 1, by_size[1]
 
     for size in range(2, max_nodes + 1):
@@ -122,7 +90,7 @@ def _levels(
                 binder = VarRef(p, st.free_types[-1])
                 lam_type = Imp(st.free_types[-1], st.term_type)
                 if lam_type in subs:
-                    add(size, Lam(binder, st.term), lam_type)
+                    add(size, Lam(binder, st.term), lam_type, st.free_types[:-1])
         # applications; the result has r free variables
         for s1 in range(1, size - 1):
             s2 = size - 1 - s1
@@ -134,17 +102,17 @@ def _levels(
                 for st2 in by_type[s2].get(st1.term_type.antecedent, ()):
                     if time.monotonic() > deadline:
                         raise TimeoutError
-                    for r, pa, pb in _merges(st1.free_types, st2.free_types):
+                    for merged, pa, pb in _merges(st1.free_types, st2.free_types):
+                        r = len(merged)
                         if size + r > max_nodes:
                             continue
                         if st1.free_types and (
                             not st2.free_types or pa[-1] > pb[-1]
                         ):
                             continue
-                        left = _rerank_free(st1.term, st1.free_types, pa, r)
-                        right_base = r + len(set(x.rank for x in bound_refs(left)))
-                        right = _rerank_free(st2.term, st2.free_types, pb, right_base)
-                        add(size, App(left, right), st1.term_type.consequent)
+                        left, top = place_canonical(st1.term, pa, r)
+                        right, _ = place_canonical(st2.term, pb, top)
+                        add(size, App(left, right), st1.term_type.consequent, merged)
         yield size, by_size[size]
 
 

@@ -32,18 +32,8 @@ from typing import Any
 from .combinators import CombDerivation, extract_combinator
 from .countermodel import MATRICES, Countermodel, check_countermodel, countermodel
 from .formula import Formula, Imp, contraction_closure, formula_sort_key, subformulas
-from .oracle import bounded_decide, _rerank_free
-from .terms import (
-    App,
-    Lam,
-    Term,
-    Var,
-    VarRef,
-    alpha_canonical,
-    bound_refs,
-    node_count,
-    print_term,
-)
+from .oracle import bounded_decide
+from .terms import App, Lam, Term, Var, VarRef, node_count, place_canonical, print_term
 
 # Fixed limits of the shadow search. MAX_SHADOW_NODES bounds the length of a
 # node's ancestor history (`len(hist)`, the depth); tripping it clears
@@ -193,9 +183,11 @@ class _Solver:
     ) -> frozenset[Term]:
         """All normal HRM terms t with type psi, free types exactly chi at
         ranks 1..|chi|, whose subtree shadow extends the given ancestor
-        history without breaking compactness. A function-position subterm is
-        never an abstraction (the term would have a redex), so that branch is
-        skipped outright there. Every step adds a new (arity, psi, chi) entry
+        history without breaking compactness. Each term is built canonical
+        (`ticket.terms`): an application places both sides with
+        `place_canonical`, the function side once per solution. A
+        function-position subterm is never an abstraction (the term would
+        have a redex), so that branch is skipped outright there. Every step adds a new (arity, psi, chi) entry
         to hist (a repeated entry fails feasibility), so len(hist) is the
         depth. An application's argument side is searched only for the
         function sides that have solutions, and each distinct argument side
@@ -237,11 +229,14 @@ class _Solver:
                             if sols2 is None:
                                 sols2 = args[chi2] = self.sols(chi2, psi2, k, child_hist, False)
                             for t1 in sols1:
+                                left, top = place_canonical(t1, pos1, r)
                                 for t2 in sols2:
-                                    left = _rerank_free(t1, chi1, pos1, r)
-                                    lb = {ref.rank for ref in bound_refs(left)}
-                                    right = _rerank_free(t2, chi2, pos2, r + len(lb))
-                                    out.add(alpha_canonical(App(left, right)))
+                                    # checked per pair: one function side
+                                    # can meet thousands of arguments
+                                    if time.monotonic() > self.deadline:
+                                        raise TimeoutError
+                                    right, _ = place_canonical(t2, pos2, top)
+                                    out.add(App(left, right))
         return frozenset(out)
 
     def _tags(
@@ -290,7 +285,6 @@ class Decision:
 
 
 def _inhabited(witness: Term, phi: Formula, stats: dict[str, Any]) -> Decision:
-    witness = alpha_canonical(witness)
     cert = extract_combinator(witness, phi)
     return Decision("Inhabited", witness, cert, stats)
 

@@ -2,8 +2,11 @@
 
 Variables carry a rank (a positive integer realizing the total order on
 variables) and a declared type. Terms are not identified modulo alpha
-conversion; `alpha_canonical` provides the representative used for
-deduplication.
+conversion. A term is canonical when its p free ranks are 1..p and its
+bound ranks are p+1, p+2, ... with no gap; `alpha_canonical` computes that
+representative and is the reference. Both searches build only canonical
+terms: their one renaming step, `place_canonical`, maps canonical terms to
+canonical terms, so they never re-canonicalise.
 """
 from __future__ import annotations
 
@@ -257,6 +260,30 @@ def rename_bound_above(m: Term, base: int) -> Term:
     bounds = sorted(set(bound_refs(m)), key=lambda r: r.rank)
     mapping = {old: VarRef(base + i + 1, old.var_type) for i, old in enumerate(bounds)}
     return _rename_bound(m, mapping) if mapping else m
+
+
+def place_canonical(m: Term, positions: tuple[int, ...], base: int) -> tuple[Term, int]:
+    """Place a canonical term m with p = len(positions) free variables into a
+    merged context: free rank i becomes positions[i-1] and bound rank p+j
+    becomes base+j. Returns the placed term and base plus the number of
+    bound variables, the base for whatever is placed next."""
+    p = len(positions)
+    binders = 0
+
+    def ref(old: VarRef) -> VarRef:
+        rank = positions[old.rank - 1] if old.rank <= p else base + old.rank - p
+        return VarRef(rank, old.var_type)
+
+    def walk(t: Term) -> Term:
+        nonlocal binders
+        if isinstance(t, Var):
+            return Var(ref(t.ref))
+        if isinstance(t, Lam):
+            binders += 1
+            return Lam(ref(t.binder), walk(t.body))
+        return App(walk(t.fn), walk(t.arg))
+
+    return walk(m), base + binders
 
 
 def hrm_substitute(p: Term, x: VarRef, q: Term) -> Term:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -223,6 +224,22 @@ def test_time_budget_works_off_the_main_thread(capsys):
     worker.start()
     worker.join()
     assert codes == [0]
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    ticket.cli.build_parser.cache_clear()
+    assert run(capsys, "decide", "a->a")[0] == 0
+    assert built.count("ticket") == 1
+    assert run(capsys, "decide", "a->a", "--json")[0] == 0
+    assert built.count("ticket") == 1
 
 
 def test_decide_json_deterministic(capsys):

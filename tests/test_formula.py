@@ -65,6 +65,14 @@ def test_subformulas_dedup():
     assert subformulas(phi) == frozenset({phi, parse_formula("a->a"), Atom("a")})
 
 
+def test_subformulas_of_deep_formulas_twice():
+    # two separate parses of one deep formula are equal but not identical;
+    # comparing them by the recursive dataclass equality would overflow
+    text = "->".join(["a"] * 401)
+    for phi in (parse_formula(text), parse_formula(text)):
+        assert len(subformulas(phi)) == 401
+
+
 def test_signature_of():
     phi = parse_formula("(a->b)->a")
     sig = signature_of(phi)

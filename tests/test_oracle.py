@@ -3,7 +3,7 @@ import pytest
 from ticket import oracle
 from ticket.formula import Imp, parse_formula
 from ticket.oracle import _levels, bounded_decide, enumerate_inhabitants
-from ticket.terms import is_nf_inhabitant, node_count, print_term
+from ticket.terms import alpha_canonical, free_vars, is_nf_inhabitant, node_count, print_term, type_of
 
 from conftest import formula_corpus
 
@@ -49,13 +49,13 @@ def test_bounded_decide_stops_at_first_inhabited_size(monkeypatch):
     phi = parse_formula("((b->a)->b->a)->(b->a)->b->a")
     bound = 10
     calls = []
-    real = oracle.alpha_canonical
+    real = oracle._State
 
-    def counting(m):
-        calls.append(m)
-        return real(m)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(oracle, "alpha_canonical", counting)
+    monkeypatch.setattr(oracle, "_State", counting)
     res = bounded_decide(phi, bound)
     decided = len(calls)
     hits = enumerate_inhabitants(phi, bound)
@@ -64,6 +64,20 @@ def test_bounded_decide_stops_at_first_inhabited_size(monkeypatch):
     assert res == hits[0]
     assert node_count(res) == 2
     assert decided < enumerated
+
+
+def test_levels_build_each_term_once_and_canonical():
+    # the search neither re-canonicalises nor dedups: every state is built
+    # canonical, with its type and free types read off its construction
+    for phi in formula_corpus():
+        seen = set()
+        for _, states in _levels(phi, 9):
+            for st in states:
+                assert alpha_canonical(st.term) == st.term
+                assert type_of(st.term) == st.term_type
+                assert tuple(v.var_type for v in free_vars(st.term)) == st.free_types
+                assert st.term not in seen
+                seen.add(st.term)
 
 
 def test_pruning_loses_no_closed_term():

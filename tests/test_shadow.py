@@ -28,7 +28,7 @@ from ticket.shadow import (
     _Solver,
     decide,
 )
-from ticket.terms import Lam, Var, VarRef, is_nf_inhabitant, print_term
+from ticket.terms import Lam, Var, VarRef, alpha_canonical, is_nf_inhabitant, print_term
 from ticket.formula import Atom, subformulas
 
 from conftest import formula_corpus
@@ -165,12 +165,18 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize(
-    "limits", [{"engine": "shadow"}, {"engine": "bounded", "max_nodes": 16}], ids=["shadow", "bounded"]
+    "text,limits",
+    [
+        # the shadow search does not finish on this theorem
+        ("(((b->b)->b->b)->b)->(b->b)->b", {"engine": "shadow"}),
+        # the oracle finds no witness of at most 16 nodes, and takes about
+        # 2 s on a 2-core VM to rule them all out
+        ("((c->c)->c->c)->c->c", {"engine": "bounded", "max_nodes": 16}),
+    ],
+    ids=["shadow", "bounded"],
 )
-def test_time_budget_stops_either_engine_off_the_main_thread(limits):
-    # neither engine decides this theorem within the budget: the shadow
-    # search does not finish, and the oracle's witness has 11 nodes
-    phi = parse_formula("(((b->b)->b->b)->b)->(b->b)->b")
+def test_time_budget_stops_either_engine_off_the_main_thread(text, limits):
+    phi = parse_formula(text)
     config = DecideConfig(**limits, time_budget=0.3)
     result = {}
 
@@ -186,6 +192,27 @@ def test_time_budget_stops_either_engine_off_the_main_thread(limits):
     assert d.verdict == "ResourceExhausted"
     assert d.stats["time_budget_hit"] is True
     assert result["seconds"] < config.time_budget + 0.5
+
+
+def test_time_budget_is_checked_per_pair_of_sides():
+    # an application's function side meets thousands of argument-side
+    # solutions here, so a deadline checked only per search node overshoots
+    # by far more than the margin
+    phi = parse_formula("((c->c->c)->c)->(c->c->c)->c")
+    t0 = time.monotonic()
+    d = decide(phi, DecideConfig(engine="shadow", time_budget=0.3))
+    seconds = time.monotonic() - t0
+    assert d.verdict == "ResourceExhausted"
+    assert d.stats["time_budget_hit"] is True
+    assert seconds < 0.45
+
+
+def test_solutions_are_built_canonical():
+    for phi in formula_corpus():
+        if len(subformulas(phi)) > 5:
+            continue
+        for m in _Solver(phi).solve():
+            assert alpha_canonical(m) == m
 
 
 def test_feasibility_test_checks_the_deadline():
