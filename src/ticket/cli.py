@@ -2,10 +2,11 @@
 
 Subcommands:
   decide FORMULA   decide inhabitation; exit 0 Inhabited, 1 Empty,
-                   3 ResourceExhausted, 2 parse/config error. The auto
+                   3 ResourceExhausted, 2 parse or usage error. The auto
                    engine runs the 3-valued countermodel search (all 75
                    matrices in one pass), then the bounded oracle, then
-                   the shadow engine
+                   the shadow engine. Output carries both witnesses of an
+                   Inhabited verdict
   check FILE.json FORMULA
                    verify a combinator certificate, or a countermodel (an
                    object with table, designated and assignment, as in the
@@ -22,9 +23,10 @@ Any command that fails with an unexpected exception prints one
 `error: internal: ...` line on stderr and exits 4, so that a crash is never
 read as a verdict.
 
-JSON output is deterministic: identical input and configuration produce
-byte-identical bytes (wall-clock time is reported only in text mode). The
-`countermodel` key is null or an object with sorted keys.
+The only settings are `--engine` and `--time-budget`; every other limit is a
+constant of the library. JSON output is deterministic: identical input and
+flags produce byte-identical bytes (wall-clock time is reported only in text
+mode). The `countermodel` key is null or an object with sorted keys.
 """
 from __future__ import annotations
 
@@ -49,14 +51,7 @@ from .countermodel import (
     countermodel_to_json,
 )
 from .formula import FormulaSyntaxError, parse_formula, print_formula
-from .shadow import (
-    MAX_LABEL_CANDIDATES,
-    MAX_SHADOW_NODES,
-    DecideConfig,
-    Decision,
-    decide,
-    refute,
-)
+from .shadow import DecideConfig, Decision, decide, refute
 from .terms import print_term
 
 EXIT_INHABITED = 0
@@ -72,43 +67,31 @@ _VERDICT_EXIT = {
 }
 
 
-def _config_from(args, engine: str) -> DecideConfig:
-    return DecideConfig(engine=engine, max_nodes=args.max_nodes, time_budget=args.time_budget)
-
-
-def _decision_payload(phi, d: Decision, config: DecideConfig, emit: str) -> dict:
+def _decision_payload(phi, d: Decision) -> dict:
     stats = {k: v for k, v in d.stats.items() if k != "wall_time"}
     return {
         "formula": print_formula(phi),
         "verdict": d.verdict,
         "witness_lambda": (
-            print_term(d.witness_lambda)
-            if d.witness_lambda is not None and emit in ("lambda", "both")
-            else None
+            print_term(d.witness_lambda) if d.witness_lambda is not None else None
         ),
         "witness_combinator": (
             derivation_to_json(d.witness_combinator)
-            if d.witness_combinator is not None and emit in ("combinator", "both")
+            if d.witness_combinator is not None
             else None
         ),
         "countermodel": (
             countermodel_to_json(d.countermodel) if d.countermodel is not None else None
         ),
         "stats": stats,
-        "caps": {
-            "engine": config.engine,
-            "max_nodes": config.max_nodes,
-            "max_shadow_nodes": MAX_SHADOW_NODES,
-            "max_label_candidates": MAX_LABEL_CANDIDATES,
-        },
     }
 
 
-def _print_decision_text(phi, d: Decision, emit: str, trace: bool) -> None:
+def _print_decision_text(phi, d: Decision, trace: bool) -> None:
     print(f"{print_formula(phi)}: {d.verdict}")
-    if d.witness_lambda is not None and emit in ("lambda", "both"):
+    if d.witness_lambda is not None:
         print(f"  witness: {print_term(d.witness_lambda)}")
-    if d.witness_combinator is not None and emit in ("combinator", "both"):
+    if d.witness_combinator is not None:
         print(f"  certificate: {json.dumps(derivation_to_json(d.witness_combinator))}")
     if d.countermodel is not None:
         cm = json.dumps(countermodel_to_json(d.countermodel), sort_keys=True)
@@ -121,16 +104,15 @@ def _print_decision_text(phi, d: Decision, emit: str, trace: bool) -> None:
 def cmd_decide(args) -> int:
     try:
         phi = parse_formula(args.formula)
-        config = _config_from(args, args.engine)
-    except (FormulaSyntaxError, ValueError) as exc:
+    except FormulaSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    d = decide(phi, config)
+    d = decide(phi, DecideConfig(engine=args.engine, time_budget=args.time_budget))
     if args.json:
-        payload = _decision_payload(phi, d, config, args.emit)
+        payload = _decision_payload(phi, d)
         sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     else:
-        _print_decision_text(phi, d, args.emit, args.trace)
+        _print_decision_text(phi, d, args.trace)
     return _VERDICT_EXIT[d.verdict]
 
 
@@ -203,14 +185,8 @@ def cmd_corpus(args) -> int:
             print(f"error: line {lineno}: {exc}", file=sys.stderr)
             return EXIT_ERROR
 
-    try:
-        engines = (
-            ["bounded", "shadow"] if args.engine == "auto" else [args.engine]
-        )
-        configs = {name: _config_from(args, name) for name in engines}
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    engines = ["bounded", "shadow"] if args.engine == "auto" else [args.engine]
+    configs = {name: DecideConfig(engine=name, time_budget=args.time_budget) for name in engines}
 
     disagreements = unrefuted = 0
     for _, phi in formulas:
@@ -246,13 +222,13 @@ def _seconds(text: str) -> float:
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--engine", choices=["auto", "bounded", "shadow"], default="auto")
-    p.add_argument("--max-nodes", type=int, default=10)
     p.add_argument("--time-budget", type=_seconds, default=None, metavar="SECONDS")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Built once per process and shared by every `main` call."""
+    """The one parser of the process, built at import and shared by every
+    `main` call."""
     parser = argparse.ArgumentParser(
         prog="ticket",
         description="Decide inhabitation of implicational formulas and "
@@ -265,9 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(p_decide)
     p_decide.add_argument("--json", action="store_true")
     p_decide.add_argument("--trace", action="store_true")
-    p_decide.add_argument(
-        "--emit", choices=["lambda", "combinator", "both"], default="both"
-    )
     p_decide.set_defaults(func=cmd_decide)
 
     p_check = sub.add_parser("check", help="verify a certificate file")
@@ -281,6 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus.set_defaults(func=cmd_corpus)
 
     return parser
+
+
+# Built at import, so that a process forked after the import, or a process
+# that runs `main` many times, never builds it again.
+build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

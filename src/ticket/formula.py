@@ -175,11 +175,6 @@ class Signature:
     app_tags: frozenset[Formula]
 
 
-def signature_of(f: Formula) -> Signature:
-    subs = subformulas(f)
-    return Signature(leaf_formulas=subs, app_tags=subs)
-
-
 def formula_sort_key(f: Formula) -> str:
     """Deterministic total order on formulas, used wherever sets get serialized."""
     return print_formula(f)

@@ -23,6 +23,9 @@ from typing import Iterator
 from .formula import Formula, Imp, formula_sort_key, subformulas
 from .terms import App, Lam, Term, Var, VarRef, place_canonical, print_term
 
+# The node bound of the oracle inside `decide`, which reads it at each call.
+MAX_ORACLE_NODES = 10
+
 
 @dataclass(frozen=True)
 class _State:
@@ -124,14 +127,14 @@ def _hits(phi: Formula, states: list[_State]) -> list[Term]:
     )
 
 
-def enumerate_inhabitants(phi: Formula, max_nodes: int = 10) -> list[Term]:
+def enumerate_inhabitants(phi: Formula, max_nodes: int = MAX_ORACLE_NODES) -> list[Term]:
     """All alpha-canonical closed normal HRM terms of type phi with at most
     max_nodes nodes, ordered by (size, canonical print)."""
     return [m for _, states in _levels(phi, max_nodes) for m in _hits(phi, states)]
 
 
 def bounded_decide(
-    phi: Formula, max_nodes: int = 10, deadline: float = math.inf
+    phi: Formula, max_nodes: int = MAX_ORACLE_NODES, deadline: float = math.inf
 ) -> Term | None:
     """Semi-decision: the smallest witness of at most max_nodes nodes, or
     None. Never claims emptiness. Stops at the first size that has an

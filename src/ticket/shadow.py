@@ -32,6 +32,7 @@ from typing import Any
 from .combinators import CombDerivation, extract_combinator
 from .countermodel import MATRICES, Countermodel, check_countermodel, countermodel
 from .formula import Formula, Imp, contraction_closure, formula_sort_key, subformulas
+from . import oracle
 from .oracle import bounded_decide
 from .terms import App, Lam, Term, Var, VarRef, node_count, place_canonical, print_term
 
@@ -170,14 +171,13 @@ class _Solver:
 
     def solve(self) -> tuple[Term, ...]:
         """The inhabitants of phi that `sols` finds, smallest first."""
-        found = self.sols((), self.phi, 0, frozenset(), False)
+        found = self.sols((), self.phi, frozenset(), False)
         return tuple(sorted(found, key=lambda t: (node_count(t), print_term(t))))
 
     def sols(
         self,
         chi: tuple[Formula, ...],
         psi: Formula,
-        k: int,
         hist: frozenset,
         fn_position: bool,
     ) -> frozenset[Term]:
@@ -201,13 +201,11 @@ class _Solver:
         out: set[Term] = set()
         if chi == (psi,):
             out.add(Var(VarRef(1, psi)))
-        if isinstance(psi, Imp) and len(chi) < k + 1 and not fn_position:
+        if isinstance(psi, Imp) and not fn_position:
             if self._tags(chi, 1, psi, hist) is not None:
                 child_hist = hist | {(1, psi, chi)}
                 binder = VarRef(len(chi) + 1, psi.antecedent)
-                for t in self.sols(
-                    chi + (psi.antecedent,), psi.consequent, k + 1, child_hist, False
-                ):
+                for t in self.sols(chi + (psi.antecedent,), psi.consequent, child_hist, False):
                     out.add(Lam(binder, t))
         if self._tags(chi, 2, psi, hist) is not None:
             child_hist = hist | {(2, psi, chi)}
@@ -219,7 +217,7 @@ class _Solver:
                 # chi2 -> the argument side's solutions
                 args: dict[tuple[Formula, ...], frozenset[Term]] = {}
                 for chi1, fn_positions in sides:
-                    sols1 = self.sols(chi1, fn_type, k, child_hist, True)
+                    sols1 = self.sols(chi1, fn_type, child_hist, True)
                     if not sols1:
                         continue
                     for pos1 in fn_positions:
@@ -227,7 +225,7 @@ class _Solver:
                             chi2 = tuple(chi[p - 1] for p in pos2)
                             sols2 = args.get(chi2)
                             if sols2 is None:
-                                sols2 = args[chi2] = self.sols(chi2, psi2, k, child_hist, False)
+                                sols2 = args[chi2] = self.sols(chi2, psi2, child_hist, False)
                             for t1 in sols1:
                                 left, top = place_canonical(t1, pos1, r)
                                 for t2 in sols2:
@@ -256,21 +254,18 @@ class _Solver:
 
 @dataclass(frozen=True)
 class DecideConfig:
-    """`engine` picks the engine and `max_nodes` bounds the oracle's witness
-    size; the shadow search's limits are the module constants. `time_budget`,
-    in seconds, bounds the wall time of one `decide` call; None means no
-    limit. The budget is checked inside the searches, so it works from any
-    thread."""
+    """`engine` picks the engine. `time_budget`, in seconds, bounds the wall
+    time of one `decide` call; None means no limit. The budget is checked
+    inside the searches, so it works from any thread. Every other limit is a
+    module constant: `oracle.MAX_ORACLE_NODES` for the oracle's witness size,
+    `MAX_SHADOW_NODES` and `MAX_LABEL_CANDIDATES` for the shadow search."""
 
     engine: str = "auto"
-    max_nodes: int = 10
     time_budget: float | None = None
 
     def __post_init__(self) -> None:
         if self.engine not in ("auto", "bounded", "shadow"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.max_nodes < 1:
-            raise ValueError("max_nodes must be >= 1")
         if self.time_budget is not None and not 0 < self.time_budget < math.inf:
             raise ValueError(f"time_budget must be positive and finite, got {self.time_budget}")
 
@@ -289,9 +284,9 @@ def _inhabited(witness: Term, phi: Formula, stats: dict[str, Any]) -> Decision:
     return Decision("Inhabited", witness, cert, stats)
 
 
-def _decide_bounded(phi: Formula, config: DecideConfig, deadline: float) -> Decision:
-    witness = bounded_decide(phi, config.max_nodes, deadline)
-    stats: dict[str, Any] = {"engine": "bounded", "max_nodes": config.max_nodes}
+def _decide_bounded(phi: Formula, deadline: float) -> Decision:
+    witness = bounded_decide(phi, oracle.MAX_ORACLE_NODES, deadline)
+    stats: dict[str, Any] = {"engine": "bounded"}
     if witness is not None:
         return _inhabited(witness, phi, stats)
     return Decision("ResourceExhausted", None, None, stats)
@@ -339,13 +334,13 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
     deadline = math.inf if config.time_budget is None else t0 + config.time_budget
     try:
         if config.engine == "bounded":
-            out = _decide_bounded(phi, config, deadline)
+            out = _decide_bounded(phi, deadline)
         elif config.engine == "shadow":
             out = _decide_shadow(phi, deadline)
         else:
             out = refute(phi)
             if out is None:
-                out = _decide_bounded(phi, config, deadline)
+                out = _decide_bounded(phi, deadline)
                 if out.verdict != "Inhabited":
                     out = _decide_shadow(phi, deadline)
     except TimeoutError:

@@ -7,11 +7,9 @@ from ticket.formula import (
     Atom,
     FormulaSyntaxError,
     Imp,
-    Signature,
     formula_sort_key,
     parse_formula,
     print_formula,
-    signature_of,
     subformulas,
 )
 
@@ -71,14 +69,6 @@ def test_subformulas_of_deep_formulas_twice():
     text = "->".join(["a"] * 401)
     for phi in (parse_formula(text), parse_formula(text)):
         assert len(subformulas(phi)) == 401
-
-
-def test_signature_of():
-    phi = parse_formula("(a->b)->a")
-    sig = signature_of(phi)
-    assert isinstance(sig, Signature)
-    assert subformulas(phi) >= sig.leaf_formulas
-    assert subformulas(phi) >= sig.app_tags
 
 
 def test_sort_key_total_order():

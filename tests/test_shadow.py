@@ -6,6 +6,7 @@ import time
 import pytest
 
 import ticket.compact
+import ticket.oracle
 import ticket.shadow
 from ticket.blueprint import f_of
 from ticket.combinators import check_derivation
@@ -104,9 +105,10 @@ def test_auto_engine_falls_back_to_shadow():
     assert d.stats["engine"] == "countermodel"
 
 
-def test_bounded_engine_never_claims_empty():
+def test_bounded_engine_never_claims_empty(monkeypatch):
+    monkeypatch.setattr(ticket.oracle, "MAX_ORACLE_NODES", 8)
     phi = parse_formula("a->(b->a)")
-    d = decide(phi, DecideConfig(engine="bounded", max_nodes=8))
+    d = decide(phi, DecideConfig(engine="bounded"))
     assert d.verdict == "ResourceExhausted"
 
 
@@ -157,27 +159,28 @@ def test_enumerated_shadows_are_compact_and_inhabited():
 def test_config_validation():
     with pytest.raises(ValueError):
         DecideConfig(engine="warp")
-    with pytest.raises(ValueError):
-        DecideConfig(max_nodes=0)
     for seconds in (0, -1, math.nan, math.inf):
         with pytest.raises(ValueError):
             DecideConfig(time_budget=seconds)
 
 
 @pytest.mark.parametrize(
-    "text,limits",
+    "text,engine,oracle_nodes",
     [
         # the shadow search does not finish on this theorem
-        ("(((b->b)->b->b)->b)->(b->b)->b", {"engine": "shadow"}),
+        ("(((b->b)->b->b)->b)->(b->b)->b", "shadow", 10),
         # the oracle finds no witness of at most 16 nodes, and takes about
         # 2 s on a 2-core VM to rule them all out
-        ("((c->c)->c->c)->c->c", {"engine": "bounded", "max_nodes": 16}),
+        ("((c->c)->c->c)->c->c", "bounded", 16),
     ],
     ids=["shadow", "bounded"],
 )
-def test_time_budget_stops_either_engine_off_the_main_thread(text, limits):
+def test_time_budget_stops_either_engine_off_the_main_thread(
+    monkeypatch, text, engine, oracle_nodes
+):
+    monkeypatch.setattr(ticket.oracle, "MAX_ORACLE_NODES", oracle_nodes)
     phi = parse_formula(text)
-    config = DecideConfig(**limits, time_budget=0.3)
+    config = DecideConfig(engine=engine, time_budget=0.3)
     result = {}
 
     def work():
