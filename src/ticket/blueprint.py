@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .formula import Formula, Signature, contraction_closure, formula_sort_key, print_formula
+from .formula import Formula, contraction_closure, formula_sort_key, print_formula
 from .terms import App, Lam, Term, Var, free_vars
 
 Address = tuple[int, ...]
@@ -483,6 +483,12 @@ def compress_to_max(b: Blueprint, m: int) -> Blueprint:
 
 
 # --- selector enumeration --------------------------------------------------
+
+@dataclass(frozen=True)
+class Signature:
+    leaf_formulas: frozenset[Formula]
+    app_tags: frozenset[Formula]
+
 
 def enumerate_selector(
     s: Signature, d: int, m: int, cap: int = 200_000

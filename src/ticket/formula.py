@@ -169,12 +169,6 @@ def contraction_closure(seqs: frozenset[tuple[Formula, ...]]) -> frozenset[tuple
     return frozenset(seen)
 
 
-@dataclass(frozen=True)
-class Signature:
-    leaf_formulas: frozenset[Formula]
-    app_tags: frozenset[Formula]
-
-
 def formula_sort_key(f: Formula) -> str:
     """Deterministic total order on formulas, used wherever sets get serialized."""
     return print_formula(f)

@@ -3,9 +3,9 @@
 Ground truth for cross-validation: a bottom-up dynamic program over term
 size. Only the order type of ranks matters for HRM and typing, so every term
 is built canonical (`ticket.terms`): a variable is rank 1, an abstraction
-binds the greatest free rank, and an application places both sides with
-`place_canonical`. No term is built twice, and a term's free types come
-from its construction.
+binds the greatest free rank, and an application splits its free ranks
+with `free_splits` and places both sides with `place_canonical`. No term is
+built twice, and a term's free types come from its construction.
 
 Only terms that can still close within the node bound are built. Merges
 place free ranks injectively, so a term of s nodes with p free variables
@@ -15,13 +15,14 @@ inhabitant.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 from typing import Iterator
 
 from .formula import Formula, Imp, formula_sort_key, subformulas
-from .terms import App, Lam, Term, Var, VarRef, place_canonical, print_term
+from .terms import App, Lam, Term, Var, VarRef, free_splits, place_canonical, print_term
 
 # The node bound of the oracle inside `decide`, which reads it at each call.
 MAX_ORACLE_NODES = 10
@@ -34,26 +35,20 @@ class _State:
     free_types: tuple[Formula, ...]
 
 
-def _merges(a: tuple[Formula, ...], b: tuple[Formula, ...]):
-    """All order-preserving merges of two type sequences into positions
-    1..r, sharing a position only at equal types. Yields (merged, pos_a,
-    pos_b), where merged is the merged type sequence of length r."""
-    out: list[tuple[tuple[Formula, ...], tuple[int, ...], tuple[int, ...]]] = []
-
-    def go(i: int, j: int, merged: tuple, pa: tuple, pb: tuple) -> None:
-        if i == len(a) and j == len(b):
-            out.append((merged, pa, pb))
-            return
-        nxt = len(merged) + 1
-        if i < len(a):
-            go(i + 1, j, merged + (a[i],), pa + (nxt,), pb)
-        if j < len(b):
-            go(i, j + 1, merged + (b[j],), pa, pb + (nxt,))
-        if i < len(a) and j < len(b) and a[i] == b[j]:
-            go(i + 1, j + 1, merged + (a[i],), pa + (nxt,), pb + (nxt,))
-
-    go(0, 0, (), (), ())
-    return out
+@functools.cache
+def _splits(p: int, q: int, r: int) -> tuple[tuple, ...]:
+    """The `free_splits` of r ranks with p on the function side and q on the
+    argument side, as (pos1, pos2, pick, shared): with ab the sides' free
+    types concatenated, rank k + 1 has type ab[pick[k]], and a variable on
+    both sides at (i, j) in shared needs ab[i] == ab[j]."""
+    out = []
+    for pos1, pos2s in free_splits(r, p, q):
+        for pos2 in pos2s:
+            at = dict(zip(pos2, range(p, p + q)))
+            shared = tuple([(i, at[rank]) for i, rank in enumerate(pos1) if rank in at])
+            at.update(zip(pos1, range(p)))
+            out.append((pos1, pos2, tuple(map(at.__getitem__, range(1, r + 1))), shared))
+    return tuple(out)
 
 
 def _levels(
@@ -105,17 +100,16 @@ def _levels(
                 for st2 in by_type[s2].get(st1.term_type.antecedent, ()):
                     if time.monotonic() > deadline:
                         raise TimeoutError
-                    for merged, pa, pb in _merges(st1.free_types, st2.free_types):
-                        r = len(merged)
-                        if size + r > max_nodes:
-                            continue
-                        if st1.free_types and (
-                            not st2.free_types or pa[-1] > pb[-1]
-                        ):
-                            continue
-                        left, top = place_canonical(st1.term, pa, r)
-                        right, _ = place_canonical(st2.term, pb, top)
-                        add(size, App(left, right), st1.term_type.consequent, merged)
+                    p, q = len(st1.free_types), len(st2.free_types)
+                    ab = st1.free_types + st2.free_types
+                    for r in range(max(p, q), min(p + q, max_nodes - size) + 1):
+                        for pos1, pos2, pick, shared in _splits(p, q, r):
+                            if any(ab[i] != ab[j] for i, j in shared):
+                                continue
+                            left, top = place_canonical(st1.term, pos1, r)
+                            right, _ = place_canonical(st2.term, pos2, top)
+                            merged = tuple([ab[k] for k in pick])
+                            add(size, App(left, right), st1.term_type.consequent, merged)
         yield size, by_size[size]
 
 

@@ -22,8 +22,6 @@ so no inhabited domain is lost.
 """
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -34,7 +32,9 @@ from .countermodel import MATRICES, Countermodel, check_countermodel, countermod
 from .formula import Formula, Imp, contraction_closure, formula_sort_key, subformulas
 from . import oracle
 from .oracle import bounded_decide
-from .terms import App, Lam, Term, Var, VarRef, node_count, place_canonical, print_term
+from .terms import (
+    App, Lam, Term, Var, VarRef, free_splits, node_count, place_canonical, print_term
+)
 
 # Fixed limits of the shadow search. MAX_SHADOW_NODES bounds the length of a
 # node's ancestor history (`len(hist)`, the depth); tripping it clears
@@ -115,34 +115,6 @@ def _feasible_tags(
 
 # --- compact-shadow search ---------------------------------------------------
 
-def _fn_sides(chi: tuple[Formula, ...]) -> list[tuple[tuple[Formula, ...], list[tuple[int, ...]]]]:
-    """The free types a binary node with free types chi can pass to its
-    function side: each distinct subsequence chi1 of chi, with the 1-based
-    position tuples pos1 in chi that select it."""
-    r = len(chi)
-    sides: dict[tuple[Formula, ...], list[tuple[int, ...]]] = {}
-    for chosen in itertools.product((False, True), repeat=r):
-        pos1 = tuple(i + 1 for i in range(r) if chosen[i])
-        sides.setdefault(tuple(chi[p - 1] for p in pos1), []).append(pos1)
-    return list(sides.items())
-
-
-@functools.cache
-def _arg_positions(r: int, pos1: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The argument-side positions pos2 that go with function-side positions
-    pos1 out of 1..r: every position pos1 leaves out, plus any subset of pos1
-    (a variable used on both sides). The last function-side position must be
-    covered on the argument side as well (the HRM application condition)."""
-    rest = tuple(p for p in range(1, r + 1) if p not in pos1)
-    out = []
-    for shared in itertools.product((False, True), repeat=len(pos1)):
-        pos2 = tuple(sorted(rest + tuple(p for p, s in zip(pos1, shared) if s)))
-        if pos1 and (not pos2 or pos1[-1] > pos2[-1]):
-            continue
-        out.append(pos2)
-    return tuple(out)
-
-
 @dataclass
 class _Solver:
     """Exhaustive search for inhabitants whose shadows are compact.
@@ -160,8 +132,6 @@ class _Solver:
     expanded: int = 0
     # psi -> [(psi2, psi2 -> psi)] over the arrows psi2 -> psi in subs
     fn_types: dict = field(default_factory=dict)
-    # chi -> _fn_sides(chi)
-    fn_sides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.subs = sorted(subformulas(self.phi), key=formula_sort_key)
@@ -185,13 +155,14 @@ class _Solver:
         ranks 1..|chi|, whose subtree shadow extends the given ancestor
         history without breaking compactness. Each term is built canonical
         (`ticket.terms`): an application places both sides with
-        `place_canonical`, the function side once per solution. A
-        function-position subterm is never an abstraction (the term would
-        have a redex), so that branch is skipped outright there. Every step adds a new (arity, psi, chi) entry
-        to hist (a repeated entry fails feasibility), so len(hist) is the
-        depth. An application's argument side is searched only for the
-        function sides that have solutions, and each distinct argument side
-        once per call."""
+        `place_canonical`. A function-position subterm is never an
+        abstraction (the term would have a redex), so that branch is skipped
+        there. Every step adds a new (arity, psi, chi) entry to hist (a
+        repeated entry fails feasibility), so len(hist) is the depth. An
+        application walks the `free_splits` of chi lazily and checks the
+        deadline at each side, so the budget holds however many free
+        variables a node has. An argument side is searched only for function
+        sides that have solutions, and each distinct side once per call."""
         if len(hist) > MAX_SHADOW_NODES:
             self.complete = False
             return frozenset()
@@ -210,31 +181,36 @@ class _Solver:
         if self._tags(chi, 2, psi, hist) is not None:
             child_hist = hist | {(2, psi, chi)}
             r = len(chi)
-            sides = self.fn_sides.get(chi)
-            if sides is None:
-                sides = self.fn_sides[chi] = _fn_sides(chi)
             for psi2, fn_type in self.fn_types.get(psi, ()):
-                # chi2 -> the argument side's solutions
+                # chi1 -> the function side's solutions, chi2 -> the argument side's
+                fns: dict[tuple[Formula, ...], frozenset[Term]] = {}
                 args: dict[tuple[Formula, ...], frozenset[Term]] = {}
-                for chi1, fn_positions in sides:
-                    sols1 = self.sols(chi1, fn_type, child_hist, True)
+                for pos1, pos2s in free_splits(r):
+                    # a node with r free variables has 2^r function sides
+                    if time.monotonic() > self.deadline:
+                        raise TimeoutError
+                    chi1 = tuple(chi[p - 1] for p in pos1)
+                    sols1 = fns.get(chi1)
+                    if sols1 is None:
+                        sols1 = fns[chi1] = self.sols(chi1, fn_type, child_hist, True)
                     if not sols1:
                         continue
-                    for pos1 in fn_positions:
-                        for pos2 in _arg_positions(r, pos1):
-                            chi2 = tuple(chi[p - 1] for p in pos2)
-                            sols2 = args.get(chi2)
-                            if sols2 is None:
-                                sols2 = args[chi2] = self.sols(chi2, psi2, child_hist, False)
-                            for t1 in sols1:
-                                left, top = place_canonical(t1, pos1, r)
-                                for t2 in sols2:
-                                    # checked per pair: one function side
-                                    # can meet thousands of arguments
-                                    if time.monotonic() > self.deadline:
-                                        raise TimeoutError
-                                    right, _ = place_canonical(t2, pos2, top)
-                                    out.add(App(left, right))
+                    for pos2 in pos2s:
+                        if time.monotonic() > self.deadline:
+                            raise TimeoutError
+                        chi2 = tuple(chi[p - 1] for p in pos2)
+                        sols2 = args.get(chi2)
+                        if sols2 is None:
+                            sols2 = args[chi2] = self.sols(chi2, psi2, child_hist, False)
+                        for t1 in sols1:
+                            left, top = place_canonical(t1, pos1, r)
+                            for t2 in sols2:
+                                # checked per pair: one function side
+                                # can meet thousands of arguments
+                                if time.monotonic() > self.deadline:
+                                    raise TimeoutError
+                                right, _ = place_canonical(t2, pos2, top)
+                                out.add(App(left, right))
         return frozenset(out)
 
     def _tags(

@@ -6,10 +6,13 @@ conversion. A term is canonical when its p free ranks are 1..p and its
 bound ranks are p+1, p+2, ... with no gap; `alpha_canonical` computes that
 representative and is the reference. Both searches build only canonical
 terms: their one renaming step, `place_canonical`, maps canonical terms to
-canonical terms, so they never re-canonicalise.
+canonical terms, so they never re-canonicalise. Their one split of an
+application's free variables is `free_splits`, the HRM application rule;
+`type_of` and `_is_hrm` check that rule on their own.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -284,6 +287,32 @@ def place_canonical(m: Term, positions: tuple[int, ...], base: int) -> tuple[Ter
         return App(walk(t.fn), walk(t.arg))
 
     return walk(m), base + binders
+
+
+def free_splits(
+    r: int, fn_size: int | None = None, arg_size: int | None = None
+) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[int, ...]]]]:
+    """The HRM splits of free ranks 1..r between an application's sides: the
+    function side takes the ranks pos1 and the argument side the ranks pos2,
+    together every rank (a rank on both sides is a shared variable), and the
+    argument side holds rank r, so it dominates the function side's greatest
+    rank. Yields each pos1 with a lazy iterator over its pos2, so a caller can
+    skip or stop between sides; `fn_size` and `arg_size` fix len(pos1) and
+    len(pos2). Positions come increasing, as `place_canonical` takes them."""
+    ranks = range(1, r + 1)
+
+    def arg_sides(pos1: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        rest = tuple([k for k in ranks if k not in pos1])
+        last = (r,) if pos1[-1:] == (r,) else ()  # rank r, shared
+        optional = pos1[: len(pos1) - len(last)]
+        for k in range(len(optional) + 1):
+            if arg_size is None or arg_size == len(rest) + len(last) + k:
+                for shared in itertools.combinations(optional, k):
+                    yield tuple(sorted(rest + shared + last))
+
+    for p in range(r + 1) if fn_size is None else (fn_size,):
+        for pos1 in itertools.combinations(ranks, p):
+            yield pos1, arg_sides(pos1)
 
 
 def hrm_substitute(p: Term, x: VarRef, q: Term) -> Term:

@@ -9,6 +9,7 @@ import random
 import time
 
 from ticket.blueprint import (
+    Signature,
     app,
     blueprint_of,
     compress_to_max,
@@ -35,7 +36,7 @@ from ticket.compact import (
     shadow_of,
     shrink_fixpoint,
 )
-from ticket.formula import Atom, Imp, Signature, parse_formula, subformulas
+from ticket.formula import Atom, Imp, parse_formula, subformulas
 from ticket.oracle import bounded_decide, enumerate_inhabitants
 from ticket.shadow import DecideConfig, decide
 from ticket.terms import (

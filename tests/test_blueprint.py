@@ -2,6 +2,7 @@ import pytest
 
 from ticket.blueprint import (
     NotExtractable,
+    Signature,
     admits_sequence,
     app,
     blueprint_of,
@@ -26,7 +27,7 @@ from ticket.blueprint import (
     up_closure,
     width,
 )
-from ticket.formula import Atom, Imp, Signature
+from ticket.formula import Atom, Imp
 from ticket.terms import App, Lam, Var, VarRef
 
 a = Atom("a")

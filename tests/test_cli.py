@@ -76,11 +76,16 @@ def test_deep_nesting_fails_closed(command, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def _cli(*argv):
+def _cli(*argv, timeout=None):
+    """Run the CLI in a child process, killed after `timeout` seconds."""
     src = os.path.dirname(os.path.dirname(ticket.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-m", "ticket.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "ticket.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
     )
 
 
@@ -217,6 +222,17 @@ def test_time_budget_stops_the_search(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "ResourceExhausted"
     assert payload["stats"]["time_budget_hit"] is True
+
+
+def test_corpus_budget_holds_on_many_free_variables(tmp_path):
+    # a shadow node with 22 free variables has 2^22 function sides, so the
+    # budget holds only if the deadline is checked per side; the hard
+    # timeout makes a regression fail instead of hang
+    path = tmp_path / "deep.txt"
+    path.write_text("->".join(["a"] * 23) + "\n")
+    proc = _cli("corpus", str(path), "--time-budget", "1", timeout=5)
+    assert proc.returncode == 0
+    assert "0 disagreements" in proc.stdout
 
 
 def test_time_budget_takes_fractions_of_a_second(capsys):

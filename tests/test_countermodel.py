@@ -198,18 +198,29 @@ def test_countermodels_agree_with_the_engines():
         if shadow != "Empty":
             refuted_inexact.add(print_formula(phi))
     assert refuted_inexact == SHADOW_INEXACT
-    # random formulas over a, b, c; the shadow engine only on small ones
+    # random formulas over a, b, c, and theorems of random derivations; the
+    # shadow engine runs to the end on at most 3 arrows and under a budget
+    # above that, so a verdict may be ResourceExhausted there
+    budgeted = DecideConfig(engine="shadow", time_budget=0.1)
     rng = random.Random(SEED)
     for _ in range(150):
         arrows = rng.randint(1, 6)
         phi = _random_formula(rng, arrows)
         cm = countermodel(phi)
         if cm is None:
+            if bounded_decide(phi) is not None:
+                assert decide(phi, budgeted).verdict != "Empty", print_formula(phi)
             continue
         check_countermodel(cm, phi)
         assert bounded_decide(phi) is None, print_formula(phi)
         if arrows <= 3:
             assert decide(phi, DecideConfig(engine="shadow")).verdict == "Empty", print_formula(phi)
+        else:
+            assert decide(phi, budgeted).verdict != "Inhabited", print_formula(phi)
+    for _ in range(60):
+        d = random_derivation(rng, rng.randint(1, 6))
+        theorem = d.instantiated_type if isinstance(d, Axiom) else d.result_type
+        assert decide(theorem, budgeted).verdict != "Empty", print_formula(theorem)
 
 
 def test_no_countermodel_for_derived_theorems():

@@ -1,10 +1,15 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import ticket
 import ticket.compact
 import ticket.oracle
 import ticket.shadow
@@ -22,14 +27,12 @@ from ticket.formula import parse_formula
 from ticket.oracle import enumerate_inhabitants
 from ticket.shadow import (
     DecideConfig,
-    _arg_positions,
     _feasible_tags,
-    _fn_sides,
     _patterns,
     _Solver,
     decide,
 )
-from ticket.terms import Lam, Var, VarRef, alpha_canonical, is_nf_inhabitant, print_term
+from ticket.terms import Lam, Var, VarRef, alpha_canonical, free_splits, is_nf_inhabitant, print_term
 from ticket.formula import Atom, subformulas
 
 from conftest import formula_corpus
@@ -210,6 +213,35 @@ def test_time_budget_is_checked_per_pair_of_sides():
     assert seconds < 0.45
 
 
+def test_time_budget_holds_on_many_free_variables():
+    # a node of right-nested a->...->a with 24 arrows has up to 24 free
+    # variables, so 2^24 function sides; the deadline is checked per side.
+    # The search runs in a child process, killed at the hard timeout, so a
+    # regression fails instead of hanging the suite.
+    code = (
+        "import json, time\n"
+        "from ticket.formula import parse_formula\n"
+        "from ticket.shadow import DecideConfig, decide\n"
+        "phi = parse_formula('->'.join(['a'] * 25))\n"
+        "t0 = time.monotonic()\n"
+        "d = decide(phi, DecideConfig(engine='shadow', time_budget=0.5))\n"
+        "print(json.dumps([d.verdict, d.stats.get('time_budget_hit'), time.monotonic() - t0]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ticket.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=10,
+        check=True,
+    )
+    verdict, budget_hit, seconds = json.loads(proc.stdout)
+    assert verdict == "ResourceExhausted"
+    assert budget_hit is True
+    assert seconds < 0.5 + 0.5
+
+
 def test_solutions_are_built_canonical():
     for phi in formula_corpus():
         if len(subformulas(phi)) > 5:
@@ -251,15 +283,26 @@ def _product_splits(chi):
 
 
 def _two_stage_splits(chi):
-    sides = _fn_sides(chi)
-    assert len({chi1 for chi1, _ in sides}) == len(sides)
-    assert sum(len(fn_positions) for _, fn_positions in sides) == 2 ** len(chi)
+    r = len(chi)
+    fn_positions = [pos1 for pos1, _ in free_splits(r)]
+    assert len(fn_positions) == 2 ** r
     return [
-        (chi1, pos1, tuple(chi[p - 1] for p in pos2), pos2)
-        for chi1, fn_positions in sides
-        for pos1 in fn_positions
-        for pos2 in _arg_positions(len(chi), pos1)
+        (tuple(chi[p - 1] for p in pos1), pos1, tuple(chi[p - 1] for p in pos2), pos2)
+        for pos1, pos2s in free_splits(r)
+        for pos2 in pos2s
     ]
+
+
+def _oracle_splits(chi, sides):
+    """The oracle's merges of the given (function-side, argument-side) free
+    types that give the merged types chi."""
+    out = []
+    for chi1, chi2 in sides:
+        ab = chi1 + chi2
+        for pos1, pos2, pick, shared in ticket.oracle._splits(len(chi1), len(chi2), len(chi)):
+            if tuple([ab[k] for k in pick]) == chi and all(ab[i] == ab[j] for i, j in shared):
+                out.append((chi1, pos1, chi2, pos2))
+    return out
 
 
 def test_two_stage_split_matches_product():
@@ -270,9 +313,24 @@ def test_two_stage_split_matches_product():
     for r in range(7):
         for pattern in _patterns(r, 3):
             chi = tuple(atoms[c] for c in pattern)
+            product = _product_splits(chi)
             two_stage = _two_stage_splits(chi)
             assert len(set(two_stage)) == len(two_stage)
-            assert set(two_stage) == set(_product_splits(chi))
+            assert set(two_stage) == set(product)
+            # the oracle's view: both sides' sizes fixed, at most 4 each,
+            # and their types drawn from chi
+            by_sizes = {}
+            for split in product:
+                by_sizes.setdefault((len(split[1]), len(split[3])), set()).add(split)
+            subseqs = [
+                {tuple(chi[i] for i in c) for c in itertools.combinations(range(r), n)}
+                for n in range(5)
+            ]
+            for p, q in itertools.product(range(5), repeat=2):
+                sides = itertools.product(subseqs[p], subseqs[q])
+                oracle_view = _oracle_splits(chi, sides)
+                assert len(set(oracle_view)) == len(oracle_view)
+                assert set(oracle_view) == by_sizes.get((p, q), set())
             checked += 1
     assert checked == 1 + 1 + 2 + 5 + 14 + 41 + 122
 
