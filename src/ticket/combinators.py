@@ -343,18 +343,29 @@ def extract_combinator(m: Term, phi: Formula) -> CombDerivation:
 
 
 def derivation_to_json(d: CombDerivation) -> dict[str, Any]:
-    if isinstance(d, Axiom):
-        return {"kind": d.kind, "type": print_formula(d.instantiated_type)}
-    return {
-        "kind": "mp",
-        "type": print_formula(d.result_type),
-        "children": [derivation_to_json(d.left), derivation_to_json(d.right)],
-    }
+    """The certificate as JSON data: each node's kind and type, and an mp
+    node's two children. Each distinct subformula is printed once."""
+    texts: dict[Formula, str] = {}
+
+    def emit(node: CombDerivation) -> dict[str, Any]:
+        if isinstance(node, Axiom):
+            return {"kind": node.kind, "type": print_formula(node.instantiated_type, texts)}
+        return {
+            "kind": "mp",
+            "type": print_formula(node.result_type, texts),
+            "children": [emit(node.left), emit(node.right)],
+        }
+
+    return emit(d)
 
 
-def derivation_from_json(data: Any) -> CombDerivation:
+def derivation_from_json(data: Any, shared: dict | None = None) -> CombDerivation:
     """Rebuild a derivation from `derivation_to_json` output, parsing each
-    distinct type string once."""
+    distinct type string once. All types are parsed through one sharing
+    table, `shared` when given (see `parse_formula`), so equal subformulas
+    are one object and `check_derivation` compares them by identity."""
+    if shared is None:
+        shared = {}
     types: dict[str, Formula] = {}
 
     def build(node: Any) -> CombDerivation:
@@ -364,7 +375,7 @@ def derivation_from_json(data: Any) -> CombDerivation:
         node_type = types.get(text) if isinstance(text, str) else None
         if node_type is None:
             try:
-                node_type = parse_formula(text)
+                node_type = parse_formula(text, shared)
             except Exception as exc:
                 raise CertificateFormatError(f"bad type string: {exc}") from exc
             types[text] = node_type

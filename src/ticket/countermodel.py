@@ -200,33 +200,37 @@ def search_matrices() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     return tuple(out)
 
 
+def _tile(bits: int, period: int, k: int) -> int:
+    """`bits` copied 3**k times, `period` bits apart."""
+    for _ in range(k):
+        bits |= bits << period | bits << 2 * period
+        period *= 3
+    return bits
+
+
 @functools.cache
 def _sweep_masks(n: int):
-    """The masks of the one-pass sweep over n atoms. Bit m * 3**n + row
-    stands for MATRICES[m] under row `row` of `_grid(n)`. A slot of the
-    sweep holds three masks: for each value 0, 1, 2, the bits at which the
-    slot takes that value. Returns the atom slots; (x, y, to0, to1) for each
-    pair of values, to_v being the bits whose matrix maps x -> y to v; and,
-    for each value, the bits whose matrix leaves it undesignated."""
-    rows = 3**n
-    gap = "0" * (rows - 1)
-    block = (1 << rows) - 1
-
-    def spread(matrices: int) -> int:
-        # bit m of `matrices` moves to bit m * rows, then fills its block
-        return block * int(gap.join(format(matrices, f"0{len(MATRICES)}b")), 2)
-
-    starts = int(gap.join("1" * len(MATRICES)), 2)
-    atoms = tuple(
-        tuple(starts * sum(1 << row for row, x in enumerate(column) if x == v) for v in VALUES)
-        for column in _grid(n)
-    )
+    """The masks of the one-pass sweep over n atoms. Bit row * len(MATRICES)
+    + m stands for MATRICES[m] under row `row` of `_grid(n)`, so each row is
+    a block of one bit per matrix. A slot of the sweep holds three masks:
+    for each value 0, 1, 2, the bits at which the slot takes that value.
+    Returns the atom slots; (x, y, to0, to1) for each pair of values, to_v
+    being the bits whose matrix maps x -> y to v; for each value, the bits
+    whose matrix leaves it undesignated; and the lowest bit of each row."""
+    width = len(MATRICES)
+    every_row = _tile(1, width, n)
+    atoms = []
+    for i in range(n):
+        # atom i keeps each value for `run` rows, then takes the next one
+        run = 3 ** (n - 1 - i)
+        block = _tile((1 << width) - 1, width, n - 1 - i)
+        atoms.append(tuple(_tile(block << v * run * width, 3 * run * width, i) for v in VALUES))
     pairs = tuple(
-        (x, y, spread(_MAPS_TO[3 * x + y]), spread(_MAPS_TO[9 + 3 * x + y]))
+        (x, y, _MAPS_TO[3 * x + y] * every_row, _MAPS_TO[9 + 3 * x + y] * every_row)
         for x in VALUES
         for y in VALUES
     )
-    return atoms, pairs, tuple(map(spread, _UNDESIGNATED))
+    return tuple(atoms), pairs, tuple(m * every_row for m in _UNDESIGNATED), every_row
 
 
 def countermodel(phi: Formula) -> Countermodel | None:
@@ -238,9 +242,9 @@ def countermodel(phi: Formula) -> Countermodel | None:
     n = len(atoms)
     if n > MAX_ATOMS:
         return None
-    rows = 3**n
-    every_bit = (1 << len(MATRICES) * rows) - 1
-    slots, pairs, undesignated = _sweep_masks(n)
+    width, rows = len(MATRICES), 3**n
+    every_bit = (1 << width * rows) - 1
+    slots, pairs, undesignated, every_row = _sweep_masks(n)
     slots = list(slots)
     for left, right in ops:
         a, b = slots[left], slots[right]
@@ -256,7 +260,16 @@ def countermodel(phi: Formula) -> Countermodel | None:
     bad = (last[0] & undesignated[0]) | (last[1] & undesignated[1]) | (last[2] & undesignated[2])
     if not bad:
         return None
-    m, row = divmod((bad & -bad).bit_length() - 1, rows)
+    # the first matrix: fold the rows onto row 0 and take the lowest bit
+    folded, blocks = bad, rows
+    while blocks > 1:
+        half = (blocks + 1) // 2
+        folded = (folded & ((1 << half * width) - 1)) | (folded >> half * width)
+        blocks = half
+    m = (folded & -folded).bit_length() - 1
+    # then its first row
+    hits = (bad >> m) & every_row
+    row = ((hits & -hits).bit_length() - 1) // width
     table, designated = MATRICES[m]
     assignment = tuple((name, column[row]) for name, column in zip(atoms, _grid(n)))
     return Countermodel(table, designated, assignment)

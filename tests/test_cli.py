@@ -103,22 +103,15 @@ def test_deep_formula_is_refuted_fast(tmp_path):
 
 
 def test_crash_fails_closed():
-    # 400 right-nested arrows parse, then overflow the recursion limit in the
-    # shadow search (formula equality); under the auto engine a countermodel
-    # answers Empty before the shadow search
+    # 400 right-nested arrows parse; formula equality walks them without
+    # recursion, so the shadow search runs into its budget instead of
+    # overflowing (under the auto engine a countermodel answers Empty first).
+    # An unexpected exception exits 4: see the next test.
     deep = "->".join(["a"] * 401)
-    src = os.path.dirname(os.path.dirname(ticket.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "ticket.cli", "decide", deep, "--engine", "shadow"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == EXIT_INTERNAL == 4
-    assert proc.stderr.startswith("error: internal: RecursionError")
-    assert proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+    proc = _cli("decide", deep, "--engine", "shadow", "--time-budget", "1", timeout=30)
+    assert proc.returncode == 3
+    assert proc.stdout.endswith(": ResourceExhausted\n")
+    assert proc.stderr == ""
 
 
 def test_unexpected_exception_exits_internal(capsys, monkeypatch):

@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 
 from ticket import combinators
 from ticket.combinators import (
+    Axiom,
     BadModusPonens,
     CertificateFormatError,
     axiom_b,
@@ -30,7 +32,7 @@ from ticket.terms import (
     type_of,
 )
 
-from conftest import random_derivation
+from conftest import SEED, random_derivation
 
 a = Atom("a")
 b = Atom("b")
@@ -118,6 +120,34 @@ def test_json_roundtrip():
     assert derivation_to_json(d2) == data
 
 
+def _naive_print(f):
+    if isinstance(f, Atom):
+        return f.name
+    left = _naive_print(f.antecedent)
+    if isinstance(f.antecedent, Imp):
+        left = f"({left})"
+    return f"{left}->{_naive_print(f.consequent)}"
+
+
+def _naive_json(d):
+    # every node's type printed from scratch
+    if isinstance(d, Axiom):
+        return {"kind": d.kind, "type": _naive_print(d.instantiated_type)}
+    return {
+        "kind": "mp",
+        "type": _naive_print(d.result_type),
+        "children": [_naive_json(d.left), _naive_json(d.right)],
+    }
+
+
+def test_json_matches_naive_printing(closed_terms):
+    rng = random.Random(SEED)
+    derivations = [random_derivation(rng, rng.randint(1, 7)) for _ in range(60)]
+    derivations += [extract_combinator(m, phi) for m, phi in closed_terms]
+    for d in derivations:
+        assert json.dumps(derivation_to_json(d)) == json.dumps(_naive_json(d))
+
+
 def test_json_parses_each_type_once(monkeypatch):
     data = derivation_to_json(mp(mp(axiom_b(a, a, a), axiom_i(a)), axiom_i(a)))
     texts = []
@@ -130,9 +160,9 @@ def test_json_parses_each_type_once(monkeypatch):
     walk(data)
     calls = []
 
-    def counting(text):
+    def counting(text, shared=None):
         calls.append(text)
-        return parse_formula(text)
+        return parse_formula(text, shared)
 
     monkeypatch.setattr(combinators, "parse_formula", counting)
     assert derivation_to_json(derivation_from_json(data)) == data
