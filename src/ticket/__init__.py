@@ -1,7 +1,8 @@
 """Decision engine for the implicational relevance logic T-arrow.
 
 Subpackages:
-- formula: implicational formulas, parsing, subformulas, contraction closure
+- formula: interned implicational formulas (equal formulas are one object),
+  parsing, printing, subformulas, contraction closure
 - terms: HRM lambda terms, typing, normalization
 - combinators: BB'IW derivation certificates and the lambda bridge
 - blueprint: stable parts, blueprints, extraction, shuffles, compressions

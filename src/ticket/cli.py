@@ -117,11 +117,8 @@ def cmd_decide(args) -> int:
 
 
 def cmd_check(args) -> int:
-    # the formula and the certificate share one table of subformulas, so the
-    # final comparison of the derived type with phi is an identity test
-    shared: dict = {}
     try:
-        phi = parse_formula(args.formula, shared)
+        phi = parse_formula(args.formula)
     except FormulaSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -137,7 +134,7 @@ def cmd_check(args) -> int:
     if isinstance(data, dict) and "table" in data:
         return _check_countermodel(data, phi)
     try:
-        derivation = derivation_from_json(data, shared)
+        derivation = derivation_from_json(data)
         derived = check_derivation(derivation)
     except CertificateFormatError as exc:
         print(f"error: malformed certificate: {exc}", file=sys.stderr)

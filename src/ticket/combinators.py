@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .formula import Formula, Imp, parse_formula, print_formula
+from .formula import Formula, FormulaSyntaxError, Imp, parse_formula, print_formula
 from .terms import (
     App,
     Lam,
@@ -359,26 +359,23 @@ def derivation_to_json(d: CombDerivation) -> dict[str, Any]:
     return emit(d)
 
 
-def derivation_from_json(data: Any, shared: dict | None = None) -> CombDerivation:
+def derivation_from_json(data: Any) -> CombDerivation:
     """Rebuild a derivation from `derivation_to_json` output, parsing each
-    distinct type string once. All types are parsed through one sharing
-    table, `shared` when given (see `parse_formula`), so equal subformulas
-    are one object and `check_derivation` compares them by identity."""
-    if shared is None:
-        shared = {}
+    distinct type string once."""
     types: dict[str, Formula] = {}
 
     def build(node: Any) -> CombDerivation:
         if not isinstance(node, dict) or "kind" not in node or "type" not in node:
             raise CertificateFormatError("certificate nodes need 'kind' and 'type'")
         text = node["type"]
-        node_type = types.get(text) if isinstance(text, str) else None
+        if not isinstance(text, str):
+            raise CertificateFormatError(f"'type' must be a string, not {type(text).__name__}")
+        node_type = types.get(text)
         if node_type is None:
             try:
-                node_type = parse_formula(text, shared)
-            except Exception as exc:
+                node_type = types[text] = parse_formula(text)
+            except FormulaSyntaxError as exc:
                 raise CertificateFormatError(f"bad type string: {exc}") from exc
-            types[text] = node_type
         kind = node["kind"]
         if kind == "mp":
             children = node.get("children")

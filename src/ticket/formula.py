@@ -1,14 +1,24 @@
-"""Implicational formulas: data type, parser, printer, subformula machinery,
-and the contraction closure of formula sequences.
+"""Implicational formulas: the interned data type, parser, printer,
+subformula machinery, and the contraction closure of formula sequences.
 
 The only connective is the arrow. Atom identity is by name string; there is
 no unification and no atom schemata anywhere in this package.
+
+Formulas are hash-consed: `Atom(name)` and `Imp(antecedent, consequent)`
+return the one live object for that name or pair, so equal formulas are one
+object, and equality and hashing are those of `object`. The intern table
+holds weak references, so a formula leaves it once nothing else holds it.
+Pickling and copying go through the constructors, so they return the live
+formula too.
 """
 from __future__ import annotations
 
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 import re
 import sys
+import threading
+import weakref
 
 
 class FormulaSyntaxError(ValueError):
@@ -21,14 +31,49 @@ class FormulaSyntaxError(ValueError):
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
+# The intern table: an atom's name, or an arrow's (antecedent, consequent)
+# pair, -> a weak reference to the formula. An entry is written only under
+# _lock and only where its key has no live formula, and the reference's
+# callback deletes the entry only while it is dead (`_remove_dead_weakref`),
+# so a live formula is never displaced. The lock is reentrant: a garbage
+# collection during a miss may run code on the same thread that builds
+# formulas. Hits take no lock: a live formula found in the table is the one
+# for its key. `ref and ref()` is the formula of an entry, or None when the
+# entry is missing or dead.
+_table: dict[str | tuple, weakref.ref] = {}
+_lock = threading.RLock()
 
-@dataclass(frozen=True)
+
+def _intern(cls: type, key: str | tuple, **attrs):
+    """The live formula at `key`, or else a new `cls` with `attrs`, entered
+    at `key`."""
+    ref = _table.get(key)
+    f = ref and ref()
+    if f is None:
+        with _lock:
+            ref = _table.get(key)
+            f = ref and ref()
+            if f is None:
+                f = object.__new__(cls)
+                f.__dict__.update(attrs)
+                # a plain ref with a closure, not a KeyedRef, whose
+                # constructor is Python code: slow on its first call in a
+                # freshly forked process
+                _table[key] = weakref.ref(f, lambda _, key=key: _remove_dead_weakref(_table, key))
+    return f
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Atom:
     name: str
 
-    def __post_init__(self) -> None:
-        if not _NAME.fullmatch(self.name):
-            raise ValueError(f"bad atom name: {self.name!r}")
+    def __new__(cls, name: str) -> Atom:
+        if not _NAME.fullmatch(name):
+            raise ValueError(f"bad atom name: {name!r}")
+        return _intern(cls, name, name=name)
+
+    def __reduce__(self):
+        return (Atom, (self.name,))
 
     def __repr__(self) -> str:
         return f"Atom({self.name})"
@@ -36,61 +81,16 @@ class Atom:
 
 @dataclass(frozen=True, init=False, eq=False)
 class Imp:
-    """An arrow. Its hash is hash((antecedent, consequent)), computed once at
-    construction: formulas are hashed at every dict and set lookup of the
-    search, and a deep formula's hash would otherwise recurse through its
-    whole tree. Equality tests identity, then the cached hashes, then walks
-    both formulas with a stack, so depth is no limit either. The constructor
-    writes the attributes directly: the frozen dataclass's
-    `object.__setattr__` per field plus a `__post_init__` would cost half as
-    much again per arrow."""
+    """An arrow."""
 
     antecedent: "Formula"
     consequent: "Formula"
 
-    def __init__(self, antecedent: "Formula", consequent: "Formula") -> None:
-        attrs = self.__dict__
-        attrs["antecedent"] = antecedent
-        attrs["consequent"] = consequent
-        attrs["_hash"] = hash((antecedent, consequent))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Imp:
-            return NotImplemented
-        pending = []  # pairs of distinct arrows still to compare
-        f, g = self, other
-        while True:
-            if f._hash != g._hash:
-                return False
-            # both sides written out: the searches compare arrows whose
-            # sides are mostly identical, and a loop over them costs more
-            x, y = f.antecedent, g.antecedent
-            if x is not y:
-                if x.__class__ is not y.__class__:
-                    return False
-                if x.__class__ is Imp:
-                    pending.append((x, y))
-                elif x.name != y.name:
-                    return False
-            x, y = f.consequent, g.consequent
-            if x is not y:
-                if x.__class__ is not y.__class__:
-                    return False
-                if x.__class__ is Imp:
-                    pending.append((x, y))
-                elif x.name != y.name:
-                    return False
-            if not pending:
-                return True
-            f, g = pending.pop()
+    def __new__(cls, antecedent: Formula, consequent: Formula) -> Imp:
+        key = (antecedent, consequent)
+        return _intern(cls, key, antecedent=antecedent, consequent=consequent)
 
     def __reduce__(self):
-        # string hashes differ between processes, so the cache is not pickled
         return (Imp, (self.antecedent, self.consequent))
 
     def __repr__(self) -> str:
@@ -124,32 +124,25 @@ def _syntax_error(text: str, index: int | None, message: str) -> FormulaSyntaxEr
     return FormulaSyntaxError(message.format(repr(m.group())), m.start())
 
 
-def _fold(operands: list[Formula], table: dict) -> Formula:
-    """operands[0] -> operands[1] -> ... -> operands[-1], each arrow taken
-    from or added to the sharing table."""
+def _fold(operands: list[Formula]) -> Formula:
+    """operands[0] -> operands[1] -> ... -> operands[-1]. A live arrow is
+    read from the intern table with no constructor call."""
     f = operands[-1]
     for i in range(len(operands) - 2, -1, -1):
-        key = (id(operands[i]), id(f))
-        g = table.get(key)
-        if g is None:
-            g = table[key] = Imp(operands[i], f)
-        f = g
+        a = operands[i]
+        ref = _table.get((a, f))
+        g = ref and ref()
+        f = Imp(a, f) if g is None else g
     return f
 
 
-def parse_formula(text: str, shared: dict | None = None) -> Formula:
+def parse_formula(text: str) -> Formula:
     """Parse `F ::= atom | F "->" F | "(" F ")"` with right-associative arrow.
-
-    Equal subformulas of the result are one object. Pass one `shared` dict,
-    empty at first and otherwise opaque, to several calls to share
-    subformulas between their results as well: equality tests between them
-    then stop at identity.
 
     Input nested deeper than the interpreter's recursion limit is a syntax
     error, so that no recursive consumer of the result overflows. Nesting
     counts what a recursive descent would hold on its stack: two frames per
     open parenthesis, and one per arrow whose right side is still open."""
-    table = {} if shared is None else shared
     tokens = _TOKEN.findall(text)
     limit = sys.getrecursionlimit()
     depth = 0
@@ -165,11 +158,12 @@ def parse_formula(text: str, shared: dict | None = None) -> Formula:
                 levels.append(operands)
                 operands = []
                 continue
-            atom = table.get(token)
+            ref = _table.get(token)
+            atom = ref and ref()
             if atom is None:
                 if token in ("->", ")") or not _NAME.fullmatch(token):
                     raise _syntax_error(text, index, "unexpected {}")
-                atom = table[token] = Atom(token)
+                atom = Atom(token)
             operands.append(atom)
             want_operand = False
         elif token == "->":
@@ -179,14 +173,14 @@ def parse_formula(text: str, shared: dict | None = None) -> Formula:
             want_operand = True
         elif token == ")" and levels:
             depth -= len(operands) + 1
-            inner = _fold(operands, table)
+            inner = _fold(operands)
             operands = levels.pop()
             operands.append(inner)
         else:
             raise _syntax_error(text, index, "expected ')'" if levels else "trailing input {}")
     if want_operand or levels:
         raise _syntax_error(text, len(tokens), "")
-    return _fold(operands, table)
+    return _fold(operands)
 
 
 def print_formula(f: Formula, texts: dict | None = None) -> str:
@@ -249,3 +243,11 @@ def contraction_closure(seqs: frozenset[tuple[Formula, ...]]) -> frozenset[tuple
 def formula_sort_key(f: Formula) -> str:
     """Deterministic total order on formulas, used wherever sets get serialized."""
     return print_formula(f)
+
+
+def sorted_subformulas(f: Formula) -> list[Formula]:
+    """The subformulas of f in `formula_sort_key` order. The keys are printed
+    through one `texts` dict, so each subformula is printed once, not once
+    per key."""
+    texts: dict[Formula, str] = {}
+    return sorted(subformulas(f), key=lambda g: print_formula(g, texts))

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .formula import Formula, Imp, formula_sort_key, subformulas
+from .formula import Formula, Imp, sorted_subformulas
 from .terms import App, Lam, Term, Var, VarRef, free_splits, place_canonical, print_term
 
 # The node bound of the oracle inside `decide`, which reads it at each call.
@@ -62,7 +62,8 @@ def _levels(
     `time.monotonic()` passes `deadline`."""
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
-    subs = subformulas(phi)
+    ordered = sorted_subformulas(phi)
+    subs = frozenset(ordered)
     by_size: dict[int, list[_State]] = {}
     by_type: dict[int, dict[Formula, list[_State]]] = {}
 
@@ -72,7 +73,7 @@ def _levels(
         by_type[size].setdefault(term_type, []).append(st)
 
     by_size[1], by_type[1] = [], {}
-    for tau in sorted(subs, key=formula_sort_key):
+    for tau in ordered:
         add(1, Var(VarRef(1, tau)), tau, (tau,))
     yield 1, by_size[1]
 

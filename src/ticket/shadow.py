@@ -29,7 +29,7 @@ from typing import Any
 
 from .combinators import CombDerivation, extract_combinator
 from .countermodel import MATRICES, Countermodel, check_countermodel, countermodel
-from .formula import Formula, Imp, contraction_closure, formula_sort_key, subformulas
+from .formula import Formula, Imp, contraction_closure, sorted_subformulas
 from . import oracle
 from .oracle import bounded_decide
 from .terms import (
@@ -134,7 +134,7 @@ class _Solver:
     fn_types: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.subs = sorted(subformulas(self.phi), key=formula_sort_key)
+        self.subs = sorted_subformulas(self.phi)
         for f in self.subs:
             if isinstance(f, Imp):
                 self.fn_types.setdefault(f.consequent, []).append((f.antecedent, f))

@@ -76,10 +76,13 @@ def test_deep_nesting_fails_closed(command, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def _cli(*argv, timeout=None):
-    """Run the CLI in a child process, killed after `timeout` seconds."""
+def _cli(*argv, timeout=None, hash_seed=None):
+    """Run the CLI in a child process, killed after `timeout` seconds, with
+    PYTHONHASHSEED set to `hash_seed` when given."""
     src = os.path.dirname(os.path.dirname(ticket.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     return subprocess.run(
         [sys.executable, "-m", "ticket.cli", *argv],
         capture_output=True,
@@ -275,6 +278,22 @@ def test_decide_json_deterministic(capsys):
     _, out1, _ = run(capsys, "decide", "(p->(p->x))->(p->x)", "--json")
     _, out2, _ = run(capsys, "decide", "(p->(p->x))->(p->x)", "--json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("(a->(a->b))->((b->c)->(a->(a->c)))",),  # Inhabited, by the shadow engine
+        ("((a->b)->a)->a",),  # Empty, by a countermodel
+        ("(c->a)->b->(b->b)->b", "--engine", "shadow"),  # Empty, by the shadow engine
+    ],
+)
+def test_decide_json_deterministic_across_processes(argv):
+    # formulas hash by address and strings by PYTHONHASHSEED, so set order
+    # differs between processes; the output, stats included, must not
+    first, second = (_cli("decide", *argv, "--json", hash_seed=seed) for seed in (1, 2))
+    assert first.stdout == second.stdout and first.returncode == second.returncode
+    assert first.stdout and first.stderr == ""
 
 
 def test_check_valid(capsys, tmp_path):

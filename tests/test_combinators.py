@@ -160,9 +160,9 @@ def test_json_parses_each_type_once(monkeypatch):
     walk(data)
     calls = []
 
-    def counting(text, shared=None):
+    def counting(text):
         calls.append(text)
-        return parse_formula(text, shared)
+        return parse_formula(text)
 
     monkeypatch.setattr(combinators, "parse_formula", counting)
     assert derivation_to_json(derivation_from_json(data)) == data
@@ -178,8 +178,12 @@ def test_json_parses_each_type_once(monkeypatch):
         {"kind": "Z", "type": "a->a"},
         {"kind": "I", "type": "a->"},
         {"kind": "mp", "type": "a", "children": []},
+        {"kind": "I", "type": 42},
+        {"kind": "I", "type": None},
     ],
 )
 def test_json_malformed(bad):
-    with pytest.raises(CertificateFormatError):
+    with pytest.raises(CertificateFormatError) as info:
         derivation_from_json(bad)
+    if isinstance(bad, dict) and not isinstance(bad.get("type", ""), str):
+        assert str(info.value) == f"'type' must be a string, not {type(bad['type']).__name__}"
