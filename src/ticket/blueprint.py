@@ -6,9 +6,17 @@ A blueprint is a finite partial map from addresses (sequences of positive
 integers) to labels. The domain need not be prefix-closed. Application tags
 must have nonempty left and right regions; formula leaves sit only at maximal
 addresses of the domain.
+
+Width, bounded compression and the selector run on canonical structures
+(`struct_of`): a region is the sorted tuple of its rooted components, a leaf
+is `("L", key, formula)` and a tag `("A", key, formula, left, right)`. Equal
+structures are equivalent blueprints, so each is one pass over the sibling
+groups, and a `Blueprint` is built only for the result.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -65,21 +73,22 @@ class Blueprint:
 
     def __post_init__(self) -> None:
         addresses = [a for a, _ in self.entries]
-        if list(self.entries) != sorted(self.entries, key=lambda e: e[0]):
+        if addresses != sorted(addresses):
             raise InvalidBlueprint("entries must be address-sorted")
         if len(set(addresses)) != len(addresses):
             raise InvalidBlueprint("duplicate address")
-        labels = dict(self.entries)
-        for a, label in self.entries:
+        # In address order a node's descendants follow it directly, its left
+        # region first; its right region starts where a + (2,) would sit.
+        for i, (a, label) in enumerate(self.entries):
+            nxt = addresses[i + 1] if i + 1 < len(addresses) else ()
             if isinstance(label, AppTag):
-                if not any(_is_prefix(a + (1,), b) for b in addresses):
+                if nxt[: len(a) + 1] != a + (1,):
                     raise InvalidBlueprint(f"application tag at {a} with empty left region")
-                if not any(_is_prefix(a + (2,), b) for b in addresses):
+                j = bisect.bisect_left(addresses, a + (2,), i + 1)
+                if j == len(addresses) or addresses[j][: len(a) + 1] != a + (2,):
                     raise InvalidBlueprint(f"application tag at {a} with empty right region")
-            else:
-                if any(_strict_prefix(a, b) for b in addresses):
-                    raise InvalidBlueprint(f"leaf at {a} is not maximal")
-        del labels
+            elif _strict_prefix(a, nxt):
+                raise InvalidBlueprint(f"leaf at {a} is not maximal")
 
     @property
     def domain(self) -> tuple[Address, ...]:
@@ -99,7 +108,7 @@ class Blueprint:
 
 
 def make_blueprint(mapping: dict[Address, Label]) -> Blueprint:
-    return Blueprint(tuple(sorted(mapping.items(), key=lambda e: e[0])))
+    return Blueprint(tuple(sorted(mapping.items())))
 
 
 def empty() -> Blueprint:
@@ -142,10 +151,12 @@ def star(components: list[Blueprint], addresses: list[Address] | None = None) ->
 
 
 def components(b: Blueprint) -> list[tuple[Address, Blueprint]]:
-    """Rooted components at the minimal addresses of the domain."""
-    minimal = [
-        a for a in b.domain if not any(_strict_prefix(c, a) for c in b.domain)
-    ]
+    """Rooted components at the minimal addresses of the domain. In address
+    order a component's entries follow its root."""
+    minimal: list[Address] = []
+    for a in b.domain:
+        if not (minimal and _is_prefix(minimal[-1], a)):
+            minimal.append(a)
     return [(a, subtree_at(b, a)) for a in minimal]
 
 
@@ -174,34 +185,40 @@ def blueprint_of(m: Term) -> Blueprint:
     return make_blueprint(mapping)
 
 
+def _blocker(labels: dict[Address, Label], a: Address) -> str | None:
+    """Why the leaf at a cannot be extracted: its first domain ancestor that
+    is not a tag or has a on its left branch. None if there is none."""
+    for k in range(len(a)):
+        label = labels.get(a[:k])
+        if label is None:
+            continue
+        if not isinstance(label, AppTag):
+            return f"non-tag ancestor at {a[:k]}"
+        if a[k] != 2:
+            return f"address {a} sits on the left branch of the tag at {a[:k]}"
+    return None
+
+
 def extract_at(b: Blueprint, a: Address, phi: Formula) -> Blueprint:
     """Extract the formula phi at leaf address a: the leaf disappears and so
     does every application tag above it, which must all be passed on their
     right branch."""
-    label = b.get(a)
-    if label != Leaf(phi):
+    labels = dict(b.entries)
+    if labels.get(a) != Leaf(phi):
         raise NotExtractable(f"no leaf {print_formula(phi)} at {a}")
-    removed = {a}
-    for c, lab in b.entries:
-        if _strict_prefix(c, a):
-            if not isinstance(lab, AppTag):
-                raise NotExtractable(f"non-tag ancestor at {c}")
-            if not _is_prefix(c + (2,), a):
-                raise NotExtractable(f"address {a} sits on the left branch of the tag at {c}")
-            removed.add(c)
-    return make_blueprint({c: lab for c, lab in b.entries if c not in removed})
+    reason = _blocker(labels, a)
+    if reason is not None:
+        raise NotExtractable(reason)
+    return Blueprint(tuple(e for e in b.entries if not _is_prefix(e[0], a)))
 
 
 def extractable_leaves(b: Blueprint) -> list[tuple[Address, Formula]]:
-    out = []
-    for a, label in b.entries:
-        if isinstance(label, Leaf):
-            try:
-                extract_at(b, a, label.formula)
-            except NotExtractable:
-                continue
-            out.append((a, label.formula))
-    return out
+    labels = dict(b.entries)
+    return [
+        (a, label.formula)
+        for a, label in b.entries
+        if isinstance(label, Leaf) and _blocker(labels, a) is None
+    ]
 
 
 def _single_step_orders(b: Blueprint, memo: dict) -> frozenset[tuple[Formula, ...]]:
@@ -243,22 +260,20 @@ def extraction_sequences_closure(b: Blueprint) -> frozenset[tuple[Formula, ...]]
 
 
 def _interleavings(seqs: list[tuple[Formula, ...]]) -> set[tuple[Formula, ...]]:
-    if not seqs:
-        return {()}
-    out: set[tuple[Formula, ...]] = set()
+    """All shuffles of seqs: the suffixes from each tuple of positions,
+    memoised on the positions."""
 
-    def go(prefix: list[Formula], states: tuple[int, ...]) -> None:
-        if all(states[i] == len(seqs[i]) for i in range(len(seqs))):
-            out.add(tuple(prefix))
-            return
+    @functools.cache
+    def suffixes(states: tuple[int, ...]) -> set[tuple[Formula, ...]]:
+        out: set[tuple[Formula, ...]] = set()
         for i, pos in enumerate(states):
             if pos < len(seqs[i]):
-                prefix.append(seqs[i][pos])
-                go(prefix, states[:i] + (pos + 1,) + states[i + 1:])
-                prefix.pop()
+                head = (seqs[i][pos],)
+                rest = suffixes(states[:i] + (pos + 1,) + states[i + 1:])
+                out.update(head + tail for tail in rest)
+        return out or {()}
 
-    go([], tuple(0 for _ in seqs))
-    return out
+    return suffixes((0,) * len(seqs))
 
 
 def shuffle_closure(fs: list[frozenset[tuple[Formula, ...]]]) -> frozenset[tuple[Formula, ...]]:
@@ -331,26 +346,19 @@ def struct_of(b: Blueprint) -> tuple[Struct, ...]:
 def _build_rooted(s: Struct) -> Blueprint:
     if s[0] == "L":
         return leaf(s[2])
-    left = _build_region(s[3])
-    right = _build_region(s[4])
-    mapping: dict[Address, Label] = {(): AppTag(s[2])}
-    mapping.update({(1,) + a: label for a, label in left.entries})
-    mapping.update({(2,) + a: label for a, label in right.entries})
-    return make_blueprint(mapping)
+    return app(s[2], _build_region(s[3]), _build_region(s[4]))
 
 
 def _build_region(structs: tuple[Struct, ...]) -> Blueprint:
     built = [_build_rooted(s) for s in structs]
-    if len(built) == 1:
-        return built[0]
-    return star(built)
+    return built[0] if len(built) == 1 else star(built)
 
 
 def canonicalize(b: Blueprint) -> Blueprint:
     """Canonical representative of the equivalence class: components flattened
     and sorted by structural key; a single component is rooted at the origin,
     several components sit at addresses (1)..(k)."""
-    return _build_region(struct_of(b)) if not b.is_empty() else empty()
+    return _build_region(struct_of(b))
 
 
 def equivalent(b1: Blueprint, b2: Blueprint) -> bool:
@@ -397,92 +405,44 @@ def admits_sequence(b: Blueprint, chi: tuple[Formula, ...]) -> bool:
 
 # --- bounded compressions and width ---------------------------------------
 
-def _sibling_groups(structs: tuple[Struct, ...], top: bool):
-    """Yield (structs, is_top) for every sibling group in a canonical region."""
-    yield structs, top
+def _sibling_groups(structs: tuple[Struct, ...]):
+    """Every sibling group of a canonical region, the region itself first."""
+    yield structs
     for s in structs:
         if s[0] == "A":
-            yield from _sibling_groups(s[3], False)
-            yield from _sibling_groups(s[4], False)
-
-
-def _has_compression_step(structs: tuple[Struct, ...], m: int) -> bool:
-    for group, top in _sibling_groups(structs, True):
-        if m == 0:
-            if top and group:
-                return True
-            if not top and len(group) >= 2:
-                return True
-            continue
-        counts: dict[Struct, int] = {}
-        for s in group:
-            counts[s] = counts.get(s, 0) + 1
-        if any(c >= m + 1 for c in counts.values()):
-            return True
-    return False
+            yield from _sibling_groups(s[3])
+            yield from _sibling_groups(s[4])
 
 
 def width(b: Blueprint) -> int:
-    """Least m admitting no m-compression predecessor."""
-    structs = struct_of(b)
-    m = 0
-    while _has_compression_step(structs, m):
-        m += 1
-    return m
+    """Least m admitting no m-compression predecessor: the greatest number of
+    equal siblings in any sibling group, and 0 for the empty blueprint."""
+    groups = _sibling_groups(struct_of(b))
+    # a group is sorted, so equal siblings form one run
+    return max((len(list(run)) for g in groups for _, run in itertools.groupby(g)), default=0)
 
 
-def _drop_one(structs: tuple[Struct, ...], m: int, top: bool) -> tuple[Struct, ...] | None:
-    """One compression step inside a canonical region: remove one duplicate
-    beyond multiplicity m (for m = 0: any component, keeping non-top regions
-    nonempty). Returns the new region or None."""
-    counts: dict[Struct, int] = {}
-    for s in structs:
-        counts[s] = counts.get(s, 0) + 1
-    droppable = (
-        (m == 0 and (top or len(structs) >= 2) and structs)
-        or any(c > m for c in counts.values())
+def _compress(structs: tuple[Struct, ...], m: int) -> tuple[Struct, ...]:
+    """Compress every child region, sort, and keep at most m copies of each
+    component."""
+    out = sorted(
+        (*s[:3], _compress(s[3], m), _compress(s[4], m)) if s[0] == "A" else s
+        for s in structs
     )
-    if droppable:
-        if m == 0:
-            return structs[:-1]
-        for idx in range(len(structs) - 1, -1, -1):
-            if counts[structs[idx]] > m:
-                return structs[:idx] + structs[idx + 1:]
-    for idx, s in enumerate(structs):
-        if s[0] == "A":
-            for region_pos in (3, 4):
-                new_region = _drop_one(s[region_pos], m, False)
-                if new_region is not None:
-                    new_s = list(s)
-                    new_s[region_pos] = new_region
-                    return structs[:idx] + (tuple(new_s),) + structs[idx + 1:]
-    return None
+    return tuple(s for i, s in enumerate(out) if i < m or out[i - m] != s)
 
 
 def compress_to_max(b: Blueprint, m: int) -> Blueprint:
-    """A canonical gamma below b in the bounded-compression order with
-    width(gamma) <= m: repeatedly drop duplicates beyond multiplicity m."""
-    if m == 0:
-        return empty()
-
-    def resort(structs: tuple[Struct, ...]) -> tuple[Struct, ...]:
-        fixed = []
-        for s in structs:
-            if s[0] == "A":
-                fixed.append((s[0], s[1], s[2], resort(s[3]), resort(s[4])))
-            else:
-                fixed.append(s)
-        return tuple(sorted(fixed))
-
-    structs = struct_of(b)
-    while _has_compression_step(structs, m):
-        nxt = _drop_one(structs, m, True)
-        assert nxt is not None
-        structs = resort(nxt)
-    return _build_region(structs) if structs else empty()
+    """The canonical gamma below b in the bounded-compression order with
+    width(gamma) <= m: every sibling group keeps at most m copies of each
+    component, bottom-up (m = 0 gives the empty blueprint)."""
+    return _build_region(_compress(struct_of(b), m))
 
 
 # --- selector enumeration --------------------------------------------------
+
+MAX_SELECTOR_CLASSES = 200_000
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -490,52 +450,40 @@ class Signature:
     app_tags: frozenset[Formula]
 
 
-def enumerate_selector(
-    s: Signature, d: int, m: int, cap: int = 200_000
-) -> set[Blueprint]:
+def enumerate_selector(s: Signature, d: int, m: int) -> set[Blueprint]:
     """Canonical representatives, one per equivalence class of blueprints over
     s with relative depth <= d and width <= m. Raises ResourceLimit when the
-    set would exceed cap."""
+    set would exceed MAX_SELECTOR_CLASSES. The classes are built as canonical
+    structures, a region being a sorted tuple of rooted structures."""
     if m == 0:
         return {empty()}
-    leaves = sorted(s.leaf_formulas, key=formula_sort_key)
-    tags = sorted(s.app_tags, key=formula_sort_key)
-    rooted: list[Blueprint] = [leaf(f) for f in leaves]
+    rooted: list[Struct] = sorted(("L", formula_sort_key(f), f) for f in s.leaf_formulas)
+    tags = [(formula_sort_key(t), t) for t in s.app_tags]
 
-    def multisets(reps: list[Blueprint]) -> set[Blueprint]:
-        if (m + 1) ** len(reps) > cap:
+    def multisets(reps: list[Struct]) -> list[tuple[Struct, ...]]:
+        # reps is sorted, so each multiset comes out as a sorted tuple
+        if (m + 1) ** len(reps) > MAX_SELECTOR_CLASSES:
             raise ResourceLimit(
-                f"selector would enumerate {(m + 1) ** len(reps)} multisets (cap {cap})"
+                f"selector would enumerate {(m + 1) ** len(reps)} multisets"
+                f" (cap {MAX_SELECTOR_CLASSES})"
             )
-        out: set[Blueprint] = set()
-        for mults in itertools.product(range(m + 1), repeat=len(reps)):
-            comps: list[Blueprint] = []
-            for rep, k in zip(reps, mults):
-                comps.extend([rep] * k)
-            if not comps:
-                out.add(empty())
-            elif len(comps) == 1:
-                out.add(comps[0])
-            else:
-                out.add(canonicalize(star(comps)))
-        return out
-
-    def sort_key(x: Blueprint) -> tuple[int, str]:
-        return (len(x.entries), print_blueprint(x))
+        return [
+            tuple(r for r, k in zip(reps, mults) for _ in range(k))
+            for mults in itertools.product(range(m + 1), repeat=len(reps))
+        ]
 
     for _ in range(d):
-        region_reps = sorted(multisets(rooted), key=sort_key)
-        nonempty = [r for r in region_reps if not r.is_empty()]
-        new_rooted = {x for x in rooted}
-        for t in tags:
-            for g1 in nonempty:
-                for g2 in nonempty:
-                    new_rooted.add(canonicalize(app(t, g1, g2)))
-                    if len(new_rooted) > cap:
-                        raise ResourceLimit(f"selector exceeded cap {cap}")
-        rooted = sorted(new_rooted, key=sort_key)
+        regions = [g for g in multisets(rooted) if g]
+        new_rooted = set(rooted)
+        for key, t in tags:
+            for g1 in regions:
+                for g2 in regions:
+                    new_rooted.add(("A", key, t, g1, g2))
+                    if len(new_rooted) > MAX_SELECTOR_CLASSES:
+                        raise ResourceLimit(f"selector exceeded cap {MAX_SELECTOR_CLASSES}")
+        rooted = sorted(new_rooted)
 
-    return multisets(rooted)
+    return {_build_region(g) for g in multisets(rooted)}
 
 
 # --- debug printing --------------------------------------------------------

@@ -257,8 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Built at import, so that a process forked after the import, or a process
-# that runs `main` many times, never builds it again.
-build_parser()
+# that runs `main` many times, never builds it again. The two parses compile
+# argparse's regular expressions into `re`'s cache here too, not in the first
+# `main` of every forked process.
+build_parser().parse_args(["decide", "a", "--json"])
+build_parser().parse_args(["check", "x", "a"])
 
 
 def main(argv: list[str] | None = None) -> int:

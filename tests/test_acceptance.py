@@ -229,7 +229,8 @@ def test_criterion_09_selector_sanity():
                 continue
             if width(bp) > m or relative_depth(bp) > d:
                 continue
-            matches = [s for s, cs in zip(sel, canon) if cs == canonicalize(bp)]
+            canon_bp = canonicalize(bp)
+            matches = [s for s, cs in zip(sel, canon) if cs == canon_bp]
             assert len(matches) == 1
             assert equivalent(bp, matches[0])
             checked += 1

@@ -1,7 +1,15 @@
+import re
+
 import pytest
 
 from ticket.blueprint import (
+    MAX_SELECTOR_CLASSES,
+    AppTag,
+    Blueprint,
+    InvalidBlueprint,
+    Leaf,
     NotExtractable,
+    ResourceLimit,
     Signature,
     admits_sequence,
     app,
@@ -178,3 +186,62 @@ def test_selector_counts():
     for i, x in enumerate(sel):
         for y in sel[i + 1 :]:
             assert not equivalent(x, y)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Blueprint((((2,), Leaf(a)), ((1,), Leaf(b)))), "entries must be address-sorted"),
+        (lambda: Blueprint((((1,), Leaf(a)), ((1,), Leaf(b)))), "duplicate address"),
+        (
+            lambda: Blueprint((((), AppTag(c)), ((2,), Leaf(a)))),
+            "application tag at () with empty left region",
+        ),
+        (
+            lambda: Blueprint((((), AppTag(c)), ((1,), Leaf(a)))),
+            "application tag at () with empty right region",
+        ),
+        # a child at (3,) is in neither region
+        (
+            lambda: Blueprint((((), AppTag(c)), ((1,), Leaf(a)), ((3,), Leaf(b)))),
+            "application tag at () with empty right region",
+        ),
+        # the sibling at (2,) is not in the right region of the tag at (1,)
+        (
+            lambda: Blueprint((((1,), AppTag(c)), ((1, 1), Leaf(a)), ((2,), Leaf(b)))),
+            "application tag at (1,) with empty right region",
+        ),
+        (lambda: Blueprint((((), Leaf(a)), ((1, 2), Leaf(b)))), "leaf at () is not maximal"),
+        (
+            lambda: star([leaf(a), leaf(b)], [(1,), (1, 1)]),
+            "component addresses must be pairwise incomparable",
+        ),
+        (lambda: app(c, empty(), leaf(a)), "application children must be nonempty"),
+    ],
+)
+def test_invalid_blueprints_are_rejected(build, message):
+    with pytest.raises(InvalidBlueprint, match=re.escape(message)):
+        build()
+
+
+def test_regions_need_not_be_prefix_closed():
+    # the left region starts below (1,), and the right one deep below (2,)
+    bp = Blueprint(
+        (
+            ((), AppTag(c)),
+            ((1, 1), Leaf(a)),
+            ((1, 2), Leaf(b)),
+            ((2, 1, 3), Leaf(a)),
+            ((5,), Leaf(b)),
+        )
+    )
+    assert len(bp) == 5
+
+
+def test_selector_limit_trips_before_enumerating():
+    # 2 leaves and 2 tags give 20 rooted classes at depth 1, so 2**20
+    # multisets at width 1
+    sig = Signature(frozenset({a, b}), frozenset({c, w}))
+    assert 2**20 > MAX_SELECTOR_CLASSES
+    with pytest.raises(ResourceLimit, match="1048576 multisets"):
+        enumerate_selector(sig, 1, 1)

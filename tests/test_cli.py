@@ -274,6 +274,32 @@ print(codes, built.count("ticket"))
     assert proc.stdout.split("\n")[0] == "[0, 0] 0"
 
 
+def test_first_main_compiles_no_regex():
+    # importing ticket.cli already ran argparse once, so the first `main` of
+    # a fresh (or forked) process finds every regex in `re`'s cache
+    src = os.path.dirname(os.path.dirname(ticket.__file__))
+    code = """
+import io, contextlib, re._compiler, ticket.cli
+compiled = []
+compile = re._compiler.compile
+def counting(*args, **kwargs):
+    compiled.append(args[0])
+    return compile(*args, **kwargs)
+re._compiler.compile = counting
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ticket.cli.main(["decide", "(p->(p->x))->(p->x)", "--json"])
+print(code, compiled)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    )
+    assert proc.stdout == "0 []\n"
+
+
 def test_decide_json_deterministic(capsys):
     _, out1, _ = run(capsys, "decide", "(p->(p->x))->(p->x)", "--json")
     _, out2, _ = run(capsys, "decide", "(p->(p->x))->(p->x)", "--json")
