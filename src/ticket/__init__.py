@@ -1,6 +1,9 @@
 """Decision engine for the implicational relevance logic T-arrow.
 
 Subpackages:
+- record: Record, the slotted immutable base of the decision path's value
+  types (terms, certificates, countermodels, DecideConfig), which keeps
+  `dataclasses` out of the start-up
 - formula: interned implicational formulas (equal formulas are one object),
   parsing, printing, subformulas, contraction closure
 - terms: HRM lambda terms, typing, normalization

@@ -3,10 +3,10 @@ translation to HRM lambda terms, and extraction of a certificate from any
 normal inhabitant."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from .formula import Formula, FormulaSyntaxError, Imp, parse_formula, print_formula
+from .record import Record, slot_setters
 from .terms import (
     App,
     Lam,
@@ -45,18 +45,25 @@ class CertificateFormatError(CertificateError):
 AXIOM_KINDS = ("B", "B'", "I", "W")
 
 
-@dataclass(frozen=True)
-class Axiom:
-    kind: str
-    instantiated_type: Formula
+class Axiom(Record):
+    __slots__ = ("kind", "instantiated_type")
+
+    def __init__(self, kind: str, instantiated_type: Formula) -> None:
+        _set_kind(self, kind)
+        _set_instantiated_type(self, instantiated_type)
 
 
-@dataclass(frozen=True)
-class MP:
-    left: "CombDerivation"
-    right: "CombDerivation"
-    result_type: Formula
+class MP(Record):
+    __slots__ = ("left", "right", "result_type")
 
+    def __init__(self, left: CombDerivation, right: CombDerivation, result_type: Formula) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_result_type(self, result_type)
+
+
+_set_kind, _set_instantiated_type = slot_setters(Axiom)
+_set_left, _set_right, _set_result_type = slot_setters(MP)
 
 CombDerivation = Axiom | MP
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .formula import Atom, Formula, parse_formula, print_formula
+from .record import Record, slot_setters
 
 VALUES = (0, 1, 2)
 
@@ -75,11 +75,21 @@ class CountermodelFormatError(CountermodelError):
     """Countermodel JSON that does not have the expected shape."""
 
 
-@dataclass(frozen=True)
-class Countermodel:
-    table: tuple[int, ...]
-    designated: tuple[int, ...]
-    assignment: tuple[tuple[str, int], ...]  # (atom name, value), by name
+class Countermodel(Record):
+    __slots__ = ("table", "designated", "assignment")
+
+    def __init__(
+        self,
+        table: tuple[int, ...],
+        designated: tuple[int, ...],
+        assignment: tuple[tuple[str, int], ...],  # (atom name, value), by name
+    ) -> None:
+        _set_table(self, table)
+        _set_designated(self, designated)
+        _set_assignment(self, assignment)
+
+
+_set_table, _set_designated, _set_assignment = slot_setters(Countermodel)
 
 
 Program = tuple[tuple[str, ...], tuple[tuple[int, int], ...]]
@@ -231,6 +241,13 @@ def _sweep_masks(n: int):
         for y in VALUES
     )
     return tuple(atoms), pairs, tuple(m * every_row for m in _UNDESIGNATED), every_row
+
+
+# Built at import for every atom count the sweep takes, so that a process
+# forked after the import finds them built.
+for _n in range(MAX_ATOMS + 1):
+    _grid(_n)
+    _sweep_masks(_n)
 
 
 def countermodel(phi: Formula) -> Countermodel | None:

@@ -14,11 +14,12 @@ formula too.
 from __future__ import annotations
 
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
 import re
 import sys
 import threading
 import weakref
+
+from .record import Record, slot_setters
 
 
 class FormulaSyntaxError(ValueError):
@@ -44,8 +45,8 @@ _table: dict[str | tuple, weakref.ref] = {}
 _lock = threading.RLock()
 
 
-def _intern(cls: type, key: str | tuple, **attrs):
-    """The live formula at `key`, or else a new `cls` with `attrs`, entered
+def _intern(cls: type, key: str | tuple, *fields):
+    """The live formula at `key`, or else a new `cls` with `fields`, entered
     at `key`."""
     ref = _table.get(key)
     f = ref and ref()
@@ -55,7 +56,8 @@ def _intern(cls: type, key: str | tuple, **attrs):
             f = ref and ref()
             if f is None:
                 f = object.__new__(cls)
-                f.__dict__.update(attrs)
+                for set_field, value in zip(cls._setters, fields):
+                    set_field(f, value)
                 # a plain ref with a closure, not a KeyedRef, whose
                 # constructor is Python code: slow on its first call in a
                 # freshly forked process
@@ -63,14 +65,18 @@ def _intern(cls: type, key: str | tuple, **attrs):
     return f
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Atom:
-    name: str
+class Atom(Record):
+    """An atom. Formulas are records compared by identity: interning makes
+    equal formulas one object."""
+
+    __slots__ = ("name", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __new__(cls, name: str) -> Atom:
         if not _NAME.fullmatch(name):
             raise ValueError(f"bad atom name: {name!r}")
-        return _intern(cls, name, name=name)
+        return _intern(cls, name, name)
 
     def __reduce__(self):
         return (Atom, (self.name,))
@@ -79,16 +85,15 @@ class Atom:
         return f"Atom({self.name})"
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Imp:
+class Imp(Record):
     """An arrow."""
 
-    antecedent: "Formula"
-    consequent: "Formula"
+    __slots__ = ("antecedent", "consequent", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __new__(cls, antecedent: Formula, consequent: Formula) -> Imp:
-        key = (antecedent, consequent)
-        return _intern(cls, key, antecedent=antecedent, consequent=consequent)
+        return _intern(cls, (antecedent, consequent), antecedent, consequent)
 
     def __reduce__(self):
         return (Imp, (self.antecedent, self.consequent))
@@ -97,6 +102,8 @@ class Imp:
         return f"Imp({self.antecedent!r}, {self.consequent!r})"
 
 
+Atom._setters = slot_setters(Atom)
+Imp._setters = slot_setters(Imp)
 Formula = Atom | Imp
 
 

@@ -12,27 +12,44 @@ place free ranks injectively, so a term of s nodes with p free variables
 sits under p distinct binders in any closed term, which then has at least
 s + p nodes. `bounded_decide` stops at the smallest size with a closed
 inhabitant.
+
+Only terms whose types have the right polarity in phi are built. In a
+closed normal term of type phi, a subterm sits either at the root, as the
+body of an abstraction or as an argument, where by induction from the root
+its type occurs positively in phi, or in function position, where its type
+is an arrow. An abstraction is never in function position (that would be a
+redex), so its type is positive; a variable is bound by a positive
+abstraction, so its type occurs negatively. `_levels` therefore builds a
+variable only at a negative type, an abstraction only at a positive type,
+and keeps a term only if its type is positive or an arrow. The pruned
+terms occur in no closed inhabitant, so every level keeps the same closed
+terms of type phi, and the witnesses do not change.
 """
 from __future__ import annotations
 
 import functools
 import math
 import time
-from dataclasses import dataclass
 from typing import Iterator
 
 from .formula import Formula, Imp, sorted_subformulas
+from .record import Record, slot_setters
 from .terms import App, Lam, Term, Var, VarRef, free_splits, place_canonical, print_term
 
 # The node bound of the oracle inside `decide`, which reads it at each call.
 MAX_ORACLE_NODES = 10
 
 
-@dataclass(frozen=True)
-class _State:
-    term: Term
-    term_type: Formula
-    free_types: tuple[Formula, ...]
+class _State(Record):
+    __slots__ = ("term", "term_type", "free_types")
+
+    def __init__(self, term: Term, term_type: Formula, free_types: tuple[Formula, ...]) -> None:
+        _set_term(self, term)
+        _set_term_type(self, term_type)
+        _set_free_types(self, free_types)
+
+
+_set_term, _set_term_type, _set_free_types = slot_setters(_State)
 
 
 @functools.cache
@@ -51,19 +68,43 @@ def _splits(p: int, q: int, r: int) -> tuple[tuple, ...]:
     return tuple(out)
 
 
+def _signed_subformulas(phi: Formula) -> tuple[frozenset[Formula], frozenset[Formula]]:
+    """The subformulas with a positive occurrence in phi, and those with a
+    negative one. phi is positive; an arrow's consequent has the arrow's
+    sign and its antecedent the other sign."""
+    signed: tuple[set[Formula], set[Formula]] = (set(), set())
+    stack = [(phi, 0)]
+    while stack:
+        f, sign = stack.pop()
+        if f not in signed[sign]:
+            signed[sign].add(f)
+            if f.__class__ is Imp:
+                stack += ((f.antecedent, 1 - sign), (f.consequent, sign))
+    return frozenset(signed[0]), frozenset(signed[1])
+
+
 def _levels(
-    phi: Formula, max_nodes: int, deadline: float = math.inf
+    phi: Formula, max_nodes: int, deadline: float = math.inf, polarity: bool = True
 ) -> Iterator[tuple[int, list[_State]]]:
     """Yield `(size, states)` for sizes 1..max_nodes, each level as soon as it
     is built. Above size 1, a term of `size` nodes with p free variables is
-    built only if size + p <= max_nodes (see the module docstring). Each
+    built only if size + p <= max_nodes, and with `polarity` only terms
+    whose types have the right polarity (see the module docstring) are
+    built; without it, every normal HRM term over phi's subformulas is. Each
     level is also grouped by type, so an application pairs a function only
     with the arguments of its antecedent type. Raises TimeoutError once
     `time.monotonic()` passes `deadline`."""
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
     ordered = sorted_subformulas(phi)
-    subs = frozenset(ordered)
+    if polarity:
+        positive, negative = _signed_subformulas(phi)
+    else:
+        positive = negative = frozenset(ordered)
+    # the types a term may have: positive, or an arrow for function position
+    kept = positive | {f for f in negative if f.__class__ is Imp}
+    # the types an abstraction may have, by antecedent and consequent
+    lam_types = {(f.antecedent, f.consequent): f for f in positive if f.__class__ is Imp}
     by_size: dict[int, list[_State]] = {}
     by_type: dict[int, dict[Formula, list[_State]]] = {}
 
@@ -74,7 +115,8 @@ def _levels(
 
     by_size[1], by_type[1] = [], {}
     for tau in ordered:
-        add(1, Var(VarRef(1, tau)), tau, (tau,))
+        if tau in negative and tau in kept:
+            add(1, Var(VarRef(1, tau)), tau, (tau,))
     yield 1, by_size[1]
 
     for size in range(2, max_nodes + 1):
@@ -85,16 +127,19 @@ def _levels(
             if time.monotonic() > deadline:
                 raise TimeoutError
             if st.free_types:
-                p = len(st.free_types)
-                binder = VarRef(p, st.free_types[-1])
-                lam_type = Imp(st.free_types[-1], st.term_type)
-                if lam_type in subs:
+                lam_type = lam_types.get((st.free_types[-1], st.term_type))
+                if lam_type is not None:
+                    binder = VarRef(len(st.free_types), st.free_types[-1])
                     add(size, Lam(binder, st.term), lam_type, st.free_types[:-1])
         # applications; the result has r free variables
         for s1 in range(1, size - 1):
             s2 = size - 1 - s1
             for st1 in by_size[s1]:
-                if isinstance(st1.term, Lam) or not isinstance(st1.term_type, Imp):
+                if (
+                    isinstance(st1.term, Lam)
+                    or not isinstance(st1.term_type, Imp)
+                    or st1.term_type.consequent not in kept
+                ):
                     continue
                 # one function can meet thousands of arguments, so the
                 # deadline is checked per pair

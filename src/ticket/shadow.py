@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from typing import Any
 
 from .combinators import CombDerivation, extract_combinator
@@ -32,6 +31,7 @@ from .countermodel import MATRICES, Countermodel, check_countermodel, countermod
 from .formula import Formula, Imp, contraction_closure, sorted_subformulas
 from . import oracle
 from .oracle import bounded_decide
+from .record import Record, slot_setters
 from .terms import (
     App, Lam, Term, Var, VarRef, free_splits, node_count, place_canonical, print_term
 )
@@ -115,7 +115,6 @@ def _feasible_tags(
 
 # --- compact-shadow search ---------------------------------------------------
 
-@dataclass
 class _Solver:
     """Exhaustive search for inhabitants whose shadows are compact.
 
@@ -124,17 +123,15 @@ class _Solver:
     Only MAX_SHADOW_NODES clears `complete`. Once `time.monotonic()` passes
     `deadline`, `sols` and the feasibility tests raise TimeoutError."""
 
-    phi: Formula
-    deadline: float = math.inf
-    subs: list[Formula] = field(default_factory=list)
-    complete: bool = True
-    exact: bool = True
-    expanded: int = 0
-    # psi -> [(psi2, psi2 -> psi)] over the arrows psi2 -> psi in subs
-    fn_types: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.subs = sorted_subformulas(self.phi)
+    def __init__(self, phi: Formula, deadline: float = math.inf) -> None:
+        self.phi = phi
+        self.deadline = deadline
+        self.subs = sorted_subformulas(phi)
+        self.complete = True
+        self.exact = True
+        self.expanded = 0
+        # psi -> [(psi2, psi2 -> psi)] over the arrows psi2 -> psi in subs
+        self.fn_types: dict = {}
         for f in self.subs:
             if isinstance(f, Imp):
                 self.fn_types.setdefault(f.consequent, []).append((f.antecedent, f))
@@ -228,31 +225,44 @@ class _Solver:
 
 # --- the decision procedure -------------------------------------------------
 
-@dataclass(frozen=True)
-class DecideConfig:
+class DecideConfig(Record):
     """`engine` picks the engine. `time_budget`, in seconds, bounds the wall
     time of one `decide` call; None means no limit. The budget is checked
     inside the searches, so it works from any thread. Every other limit is a
     module constant: `oracle.MAX_ORACLE_NODES` for the oracle's witness size,
     `MAX_SHADOW_NODES` and `MAX_LABEL_CANDIDATES` for the shadow search."""
 
-    engine: str = "auto"
-    time_budget: float | None = None
+    __slots__ = ("engine", "time_budget")
 
-    def __post_init__(self) -> None:
-        if self.engine not in ("auto", "bounded", "shadow"):
-            raise ValueError(f"unknown engine {self.engine!r}")
-        if self.time_budget is not None and not 0 < self.time_budget < math.inf:
-            raise ValueError(f"time_budget must be positive and finite, got {self.time_budget}")
+    def __init__(self, engine: str = "auto", time_budget: float | None = None) -> None:
+        if engine not in ("auto", "bounded", "shadow"):
+            raise ValueError(f"unknown engine {engine!r}")
+        if time_budget is not None and not 0 < time_budget < math.inf:
+            raise ValueError(f"time_budget must be positive and finite, got {time_budget}")
+        _set_engine(self, engine)
+        _set_time_budget(self, time_budget)
 
 
-@dataclass
+_set_engine, _set_time_budget = slot_setters(DecideConfig)
+
+
 class Decision:
-    verdict: str  # Inhabited | Empty | ResourceExhausted
-    witness_lambda: Term | None
-    witness_combinator: CombDerivation | None
-    stats: dict[str, Any]
-    countermodel: Countermodel | None = None
+    """A verdict (Inhabited, Empty or ResourceExhausted), its evidence, and
+    the stats of the run that reached it."""
+
+    def __init__(
+        self,
+        verdict: str,
+        witness_lambda: Term | None,
+        witness_combinator: CombDerivation | None,
+        stats: dict[str, Any],
+        countermodel: Countermodel | None = None,
+    ) -> None:
+        self.verdict = verdict
+        self.witness_lambda = witness_lambda
+        self.witness_combinator = witness_combinator
+        self.stats = stats
+        self.countermodel = countermodel
 
 
 def _inhabited(witness: Term, phi: Formula, stats: dict[str, Any]) -> Decision:
@@ -260,12 +270,19 @@ def _inhabited(witness: Term, phi: Formula, stats: dict[str, Any]) -> Decision:
     return Decision("Inhabited", witness, cert, stats)
 
 
+def _exhausted(stats: dict[str, Any], step: str, exhausted_by: str) -> Decision:
+    """ResourceExhausted, its stats naming the step that gave up and the
+    limit that stopped it."""
+    stats.update(step=step, exhausted_by=exhausted_by)
+    return Decision("ResourceExhausted", None, None, stats)
+
+
 def _decide_bounded(phi: Formula, deadline: float) -> Decision:
     witness = bounded_decide(phi, oracle.MAX_ORACLE_NODES, deadline)
     stats: dict[str, Any] = {"engine": "bounded"}
     if witness is not None:
         return _inhabited(witness, phi, stats)
-    return Decision("ResourceExhausted", None, None, stats)
+    return _exhausted(stats, "bounded", "max_oracle_nodes")
 
 
 def refute(phi: Formula) -> Decision | None:
@@ -293,7 +310,7 @@ def _decide_shadow(phi: Formula, deadline: float) -> Decision:
         return _inhabited(witnesses[0], phi, stats)
     if solver.complete and solver.exact:
         return Decision("Empty", None, None, stats)
-    return Decision("ResourceExhausted", None, None, stats)
+    return _exhausted(stats, "shadow", "label_candidates" if solver.complete else "max_shadow_nodes")
 
 
 def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
@@ -303,24 +320,35 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
     with no limit tripped. `auto` runs the countermodel search, then the
     bounded oracle, then the shadow engine, and stops at the first verdict;
     no formula has both a countermodel and a witness, so the order changes
-    no verdict. `shadow` runs the shadow engine alone. When
-    `config.time_budget` runs out, the verdict is ResourceExhausted with
-    `time_budget_hit` in the stats."""
+    no verdict. `shadow` runs the shadow engine alone.
+
+    A ResourceExhausted verdict names in its stats the `step` that gave up
+    (countermodel, bounded or shadow) and what stopped it, `exhausted_by`:
+    `time` when `config.time_budget` ran out (then `time_budget_hit` is
+    set too), `max_oracle_nodes` when the oracle found no witness within its
+    bound, and `max_shadow_nodes` or `label_candidates` when that limit
+    left the shadow search incomplete or inexact (the first, if both)."""
     t0 = time.monotonic()
     deadline = math.inf if config.time_budget is None else t0 + config.time_budget
+    step = config.engine
     try:
         if config.engine == "bounded":
             out = _decide_bounded(phi, deadline)
         elif config.engine == "shadow":
             out = _decide_shadow(phi, deadline)
         else:
+            step = "countermodel"
             out = refute(phi)
             if out is None:
+                # the sweep reads no clock: a budget spent in it ends here
+                if time.monotonic() > deadline:
+                    raise TimeoutError
+                step = "bounded"
                 out = _decide_bounded(phi, deadline)
                 if out.verdict != "Inhabited":
+                    step = "shadow"
                     out = _decide_shadow(phi, deadline)
     except TimeoutError:
-        stats = {"engine": config.engine, "time_budget_hit": True}
-        out = Decision("ResourceExhausted", None, None, stats)
+        out = _exhausted({"engine": config.engine, "time_budget_hit": True}, step, "time")
     out.stats["wall_time"] = time.monotonic() - t0
     return out

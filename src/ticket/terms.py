@@ -13,10 +13,10 @@ application's free variables is `free_splits`, the HRM application rule;
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from .formula import Formula, Imp, print_formula
+from .record import Record, slot_setters
 
 Address = tuple[int, ...]
 
@@ -45,32 +45,78 @@ class PreconditionViolated(TermError):
     pass
 
 
-@dataclass(frozen=True)
-class VarRef:
-    rank: int
-    var_type: Formula
+# Terms are hashed whole, once per set insertion in the shadow search, so
+# the term classes compare and hash their fields directly rather than through
+# `Record`'s field tuple, which takes three times as long.
+class VarRef(Record):
+    __slots__ = ("rank", "var_type")
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise InvalidTerm(f"rank must be positive, got {self.rank}")
+    def __init__(self, rank: int, var_type: Formula) -> None:
+        if rank < 1:
+            raise InvalidTerm(f"rank must be positive, got {rank}")
+        _set_rank(self, rank)
+        _set_var_type(self, var_type)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.var_type) == (other.rank, other.var_type)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.var_type))
 
 
-@dataclass(frozen=True)
-class Var:
-    ref: VarRef
+class Var(Record):
+    __slots__ = ("ref",)
+
+    def __init__(self, ref: VarRef) -> None:
+        _set_ref(self, ref)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ref,) == (other.ref,)
+
+    def __hash__(self) -> int:
+        return hash((self.ref,))
 
 
-@dataclass(frozen=True)
-class Lam:
-    binder: VarRef
-    body: "Term"
+class Lam(Record):
+    __slots__ = ("binder", "body")
+
+    def __init__(self, binder: VarRef, body: Term) -> None:
+        _set_binder(self, binder)
+        _set_body(self, body)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.binder, self.body) == (other.binder, other.body)
+
+    def __hash__(self) -> int:
+        return hash((self.binder, self.body))
 
 
-@dataclass(frozen=True)
-class App:
-    fn: "Term"
-    arg: "Term"
+class App(Record):
+    __slots__ = ("fn", "arg")
 
+    def __init__(self, fn: Term, arg: Term) -> None:
+        _set_fn(self, fn)
+        _set_arg(self, arg)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.fn, self.arg) == (other.fn, other.arg)
+
+    def __hash__(self) -> int:
+        return hash((self.fn, self.arg))
+
+
+_set_rank, _set_var_type = slot_setters(VarRef)
+(_set_ref,) = slot_setters(Var)
+_set_binder, _set_body = slot_setters(Lam)
+_set_fn, _set_arg = slot_setters(App)
 
 Term = Var | Lam | App
 

@@ -38,8 +38,9 @@ def _build_pools() -> tuple[list[tuple[Term, Formula]], list[tuple[Term, Formula
     closed_pool: list[tuple[Term, Formula]] = []
     for phi in POOL_FORMULAS:
         # sizes 1-9 at bound 18: a term of at most 9 nodes has at most 9 free
-        # variables, so the oracle prunes none of them
-        for size, states in _levels(phi, 18):
+        # variables, so the oracle prunes none of them for their size, and
+        # polarity pruning is off
+        for size, states in _levels(phi, 18, polarity=False):
             for st in states:
                 open_pool.append((st.term, st.term_type))
                 if not st.free_types:

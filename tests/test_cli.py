@@ -218,6 +218,7 @@ def test_time_budget_stops_the_search(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "ResourceExhausted"
     assert payload["stats"]["time_budget_hit"] is True
+    assert (payload["stats"]["step"], payload["stats"]["exhausted_by"]) == ("shadow", "time")
 
 
 def test_corpus_budget_holds_on_many_free_variables(tmp_path):

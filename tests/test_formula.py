@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import json
 import os
@@ -318,7 +317,7 @@ def test_imp_repr_fields_and_pickle():
     f = Imp(Atom("a"), Atom("b"))
     assert f != Imp(Atom("b"), Atom("a"))
     assert repr(f) == "Imp(Atom(a), Atom(b))"
-    assert [fl.name for fl in dataclasses.fields(Imp)] == ["antecedent", "consequent"]
+    assert Imp.__slots__ == ("antecedent", "consequent", "__weakref__")
     assert pickle.loads(pickle.dumps(f)) is f
 
 

@@ -1,9 +1,13 @@
-"""The decision path uses only the public names of its sibling modules.
+"""The decision path uses only the public names of its sibling modules,
+and its import loads neither `dataclasses` nor the lemma-side modules.
 
 `compact` is exempt: it derives the paper's lemma objects from the core's
 internals on purpose."""
 import ast
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -26,3 +30,18 @@ def _private_imports(module: str) -> list[str]:
 @pytest.mark.parametrize("module", DECISION_PATH)
 def test_decision_path_imports_no_private_names(module):
     assert _private_imports(module) == []
+
+
+def test_cli_import_loads_no_dataclasses_and_no_lemma_modules():
+    # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, a tenth
+    # of a fresh process's start-up; `blueprint` and `compact` serve only
+    # the lemma checks. -S keeps site-packages from loading any of them.
+    src = os.path.dirname(os.path.dirname(ticket.__file__))
+    code = (
+        f"import json, sys; sys.path.insert(0, {src!r}); import ticket.cli; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, check=True)
+    loaded = set(json.loads(out.stdout))
+    assert "ticket.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ticket.blueprint", "ticket.compact"}

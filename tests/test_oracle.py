@@ -3,7 +3,7 @@ import time
 import pytest
 
 from ticket import oracle
-from ticket.formula import parse_formula
+from ticket.formula import parse_formula, print_formula
 from ticket.oracle import _levels, bounded_decide, enumerate_inhabitants
 from ticket.terms import alpha_canonical, free_vars, is_nf_inhabitant, node_count, print_term, type_of
 
@@ -83,12 +83,13 @@ def test_levels_build_each_term_once_and_canonical():
 
 
 def test_pruning_loses_no_closed_term():
-    # at bound 2n no term of at most n nodes is pruned: it has at most n
-    # free variables, so the unpruned reference is sizes 1..n at bound 2n
+    # at bound 2n no term of at most n nodes is pruned for its size: it has
+    # at most n free variables, so the unpruned reference is sizes 1..n at
+    # bound 2n, without polarity pruning
     n = 7
     for phi in formula_corpus():
         reference = []
-        for size, states in _levels(phi, 2 * n):
+        for size, states in _levels(phi, 2 * n, polarity=False):
             closed = [st.term for st in states if not st.free_types and st.term_type == phi]
             reference.extend(sorted(closed, key=print_term))
             if size == n:
@@ -114,3 +115,35 @@ def test_applications_look_up_arguments_by_type(monkeypatch):
     monkeypatch.setattr(oracle, "time", CountingTime)
     assert bounded_decide(phi) is None
     assert len(calls) < 20_000
+
+
+# The formulas of formula_corpus() with closed inhabitants of at most
+# MAX_ORACLE_NODES nodes, and how many each has; the other 540 have none.
+CORPUS_INHABITANTS = {
+    "a->a": 1,
+    "b->b": 1,
+    "(a->a)->a->a": 4,
+    "(a->b)->a->b": 2,
+    "(b->a)->b->a": 2,
+    "(b->b)->b->b": 4,
+    "(a->a->a)->a->a": 1,
+    "(a->a->b)->a->b": 1,
+    "(b->b->a)->b->a": 1,
+    "(b->b->b)->b->b": 1,
+}
+
+
+def test_inhabitant_counts_are_pinned():
+    counts = {print_formula(phi): len(enumerate_inhabitants(phi)) for phi in formula_corpus()}
+    assert len(counts) == 550
+    assert {text: n for text, n in counts.items() if n} == CORPUS_INHABITANTS
+
+
+def test_polarity_pruning_builds_fewer_terms():
+    # the pruned levels are a strict part of the full ones; that they keep
+    # every closed term is test_pruning_loses_no_closed_term
+    phi = parse_formula("((b->a)->b->a)->(b->a)->b->a")
+    pruned = [st.term for _, states in _levels(phi, 7) for st in states]
+    every = [st.term for _, states in _levels(phi, 7, polarity=False) for st in states]
+    assert set(pruned) < set(every)
+    assert (len(pruned), len(every)) == (len(set(pruned)), len(set(every)))

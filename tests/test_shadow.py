@@ -172,9 +172,9 @@ def test_config_validation():
     [
         # the shadow search does not finish on this theorem
         ("(((b->b)->b->b)->b)->(b->b)->b", "shadow", 10),
-        # the oracle finds no witness of at most 16 nodes, and takes about
-        # 2 s on a 2-core VM to rule them all out
-        ("((c->c)->c->c)->c->c", "bounded", 16),
+        # the oracle finds no witness of at most 20 nodes, and takes about
+        # 9 s on a 2-core VM to rule them all out
+        ("((c->c)->c->c)->c->c", "bounded", 20),
     ],
     ids=["shadow", "bounded"],
 )
@@ -265,6 +265,65 @@ def test_caps_resource_exhaustion(monkeypatch):
     phi = parse_formula("(x->y)->((p->x)->(p->y))")
     d = decide(phi, DecideConfig(engine="shadow"))
     assert d.verdict == "ResourceExhausted"
+    assert (d.stats["step"], d.stats["exhausted_by"]) == ("shadow", "max_shadow_nodes")
+
+
+@pytest.mark.parametrize(
+    "text,engine,step,limit",
+    [
+        ("a->b->a", "bounded", "bounded", "max_oracle_nodes"),
+        # complete, but one feasibility test runs out of tag patterns
+        ("((a->b->a)->a)->a", "shadow", "shadow", "label_candidates"),
+    ],
+)
+def test_exhaustion_names_step_and_limit(text, engine, step, limit):
+    d = decide(parse_formula(text), DecideConfig(engine=engine))
+    assert d.verdict == "ResourceExhausted"
+    assert (d.stats["step"], d.stats["exhausted_by"]) == (step, limit)
+    assert "time_budget_hit" not in d.stats
+
+
+@pytest.mark.parametrize("engine", ["bounded", "shadow"])
+def test_timeout_names_the_engine_step(engine):
+    # the budget has run out at the engine's first deadline check
+    d = decide(parse_formula("(x->y)->((p->x)->(p->y))"), DecideConfig(engine, 1e-9))
+    assert d.verdict == "ResourceExhausted"
+    assert d.stats["time_budget_hit"] is True
+    assert (d.stats["engine"], d.stats["step"], d.stats["exhausted_by"]) == (engine, engine, "time")
+
+
+def _out_of_time(*args):
+    raise TimeoutError
+
+
+@pytest.mark.parametrize("step", ["countermodel", "bounded", "shadow"])
+def test_auto_timeout_names_the_step(monkeypatch, step):
+    # the step's deadline check fires: the sweep, which reads no clock, is
+    # made to overrun the budget, and the searches to raise as at a check
+    if step == "countermodel":
+        real = ticket.shadow.refute
+
+        def slow_refute(phi):
+            out = real(phi)
+            time.sleep(0.02)
+            return out
+
+        monkeypatch.setattr(ticket.shadow, "refute", slow_refute)
+    elif step == "bounded":
+        monkeypatch.setattr(ticket.shadow, "bounded_decide", _out_of_time)
+    else:
+        monkeypatch.setattr(ticket.shadow._Solver, "solve", _out_of_time)
+    # a non-theorem with no 3-valued countermodel and no witness, so the
+    # auto engine reaches every step
+    d = decide(parse_formula("((c->c)->c)->c"), DecideConfig(time_budget=0.01))
+    assert d.verdict == "ResourceExhausted"
+    assert d.stats == {
+        "engine": "auto",
+        "time_budget_hit": True,
+        "step": step,
+        "exhausted_by": "time",
+        "wall_time": d.stats["wall_time"],
+    }
 
 
 def _product_splits(chi):
