@@ -6,10 +6,12 @@ Subpackages:
   `dataclasses` out of the start-up
 - formula: interned implicational formulas (equal formulas are one object),
   parsing, printing, subformulas, contraction closure
-- terms: HRM lambda terms, typing, normalization
-- combinators: BB'IW derivation certificates and the lambda bridge
+- terms: HRM lambda terms, typing, canonical placement
+- combinators: BB'IW derivation certificates and their extraction from
+  normal inhabitants
 - blueprint: stable parts, blueprints, extraction, shuffles, compressions
-- compact: compactness of inhabitants, term transformations, and the
+- compact: HRM normalization, the translation of derivations back to
+  lambda terms, compactness of inhabitants, term transformations, and the
   explicit compact shadows derived from the search, for the lemma checks
 - shadow: the decision core, compact-shadow search (_Solver) and decide;
   it loads neither blueprint nor compact

@@ -1,23 +1,14 @@
-"""BB'IW combinator derivations: checkable modus-ponens certificates,
-translation to HRM lambda terms, and extraction of a certificate from any
-normal inhabitant."""
+"""BB'IW combinator derivations: checkable modus-ponens certificates, and
+extraction of a certificate from any normal inhabitant. The translation of
+a derivation back to a lambda term, which only the lemma checks use, is
+`compact.comb_to_lambda`."""
 from __future__ import annotations
 
 from typing import Any
 
 from .formula import Formula, FormulaSyntaxError, Imp, parse_formula, print_formula
 from .record import Record, slot_setters
-from .terms import (
-    App,
-    Lam,
-    PreconditionViolated,
-    Term,
-    Var,
-    VarRef,
-    free_vars,
-    hrm_normalize,
-    is_nf_inhabitant,
-)
+from .terms import Lam, PreconditionViolated, Term, Var, free_vars, is_nf_inhabitant
 
 Path = tuple[int, ...]
 
@@ -170,54 +161,6 @@ def axiom_i(phi: Formula) -> Axiom:
 
 def axiom_w(phi: Formula, chi: Formula) -> Axiom:
     return Axiom("W", Imp(Imp(phi, Imp(phi, chi)), Imp(phi, chi)))
-
-
-def _counterpart(leaf: Axiom, base: int) -> tuple[Term, int]:
-    """Lambda counterpart of an axiom leaf, bound ranks base+1 upward."""
-    t = leaf.instantiated_type
-    assert isinstance(t, Imp)
-    if leaf.kind == "I":
-        x = VarRef(base + 1, t.antecedent)
-        return Lam(x, Var(x)), base + 1
-    if leaf.kind == "B":
-        # \f:chi->psi. \g:phi->chi. \x:phi. f (g x)
-        chi_psi = t.antecedent
-        phi_chi = t.consequent.antecedent  # type: ignore[union-attr]
-        phi = phi_chi.antecedent  # type: ignore[union-attr]
-        f = VarRef(base + 1, chi_psi)
-        g = VarRef(base + 2, phi_chi)
-        x = VarRef(base + 3, phi)
-        return Lam(f, Lam(g, Lam(x, App(Var(f), App(Var(g), Var(x)))))), base + 3
-    if leaf.kind == "B'":
-        # \f:phi->chi. \g:chi->psi. \x:phi. g (f x)
-        phi_chi = t.antecedent
-        chi_psi = t.consequent.antecedent  # type: ignore[union-attr]
-        phi = phi_chi.antecedent  # type: ignore[union-attr]
-        f = VarRef(base + 1, phi_chi)
-        g = VarRef(base + 2, chi_psi)
-        x = VarRef(base + 3, phi)
-        return Lam(f, Lam(g, Lam(x, App(Var(g), App(Var(f), Var(x)))))), base + 3
-    # W: \h:phi->(phi->chi). \x:phi. h x x
-    h = VarRef(base + 1, t.antecedent)
-    x = VarRef(base + 2, t.antecedent.antecedent)  # type: ignore[union-attr]
-    return Lam(h, Lam(x, App(App(Var(h), Var(x)), Var(x)))), base + 2
-
-
-def comb_to_lambda(d: CombDerivation) -> Term:
-    """Translate a checked derivation to a normal inhabitant of its type."""
-    phi = check_derivation(d)
-
-    def build(node: CombDerivation, base: int) -> tuple[Term, int]:
-        if isinstance(node, Axiom):
-            return _counterpart(node, base)
-        left, base = build(node.left, base)
-        right, base = build(node.right, base)
-        return App(left, right), base
-
-    raw, _ = build(d, 0)
-    result = hrm_normalize(raw)
-    assert is_nf_inhabitant(result, phi)
-    return result
 
 
 def extend_derivation(d: CombDerivation, prefix: list[Formula]) -> CombDerivation:

@@ -1,6 +1,12 @@
 """Compactness of normal inhabitants, the constructive term surgeries, and
 the explicit compact shadows.
 
+The surgeries work on addressed subterms (`subterm_at`, `replace_at`).
+HRM substitution and normalization (`hrm_substitute`, `hrm_normalize`) turn
+a combinator derivation back into a normal inhabitant (`comb_to_lambda`),
+the converse of certificate extraction. The decision path needs none of
+these.
+
 The three surgeries are: reading off a full extraction chain from a term
 (every free variable's type is extractible at its occurrence addresses),
 renaming free variables along an alternative extraction chain (switch_var),
@@ -37,28 +43,26 @@ from .blueprint import (
     up_closure,
     width,
 )
-from .formula import Formula, subformulas
+from .combinators import Axiom, CombDerivation, check_derivation
+from .formula import Formula, Imp, subformulas
 from .oracle import _hits, _levels
 from .shadow import _Solver
 from .terms import (
     Address,
     App,
     Lam,
+    PreconditionViolated,
     Term,
     TermError,
     TypeMismatch,
     Var,
     VarRef,
     addresses,
-    all_ranks,
     bound_refs,
     free_vars,
     is_nf_inhabitant,
-    max_rank,
     node_count,
     rename_bound_above,
-    replace_at,
-    subterm_at,
     type_of,
 )
 
@@ -69,6 +73,191 @@ class ChainInvalid(TermError):
 
 class NotACompression(TermError):
     pass
+
+
+# --- addresses, ranks and HRM normalization ---------------------------------
+
+def subterm_at(m: Term, a: Address) -> Term:
+    for step in a:
+        if isinstance(m, Lam):
+            if step != 1:
+                raise TermError(f"address step {step} at abstraction node")
+            m = m.body
+        elif isinstance(m, App):
+            if step == 1:
+                m = m.fn
+            elif step == 2:
+                m = m.arg
+            else:
+                raise TermError(f"address step {step} at application node")
+        else:
+            raise TermError("address walks past a leaf")
+    return m
+
+
+def replace_at(m: Term, a: Address, sub: Term) -> Term:
+    if not a:
+        return sub
+    step, rest = a[0], a[1:]
+    if isinstance(m, Lam):
+        if step != 1:
+            raise TermError("bad address")
+        return Lam(m.binder, replace_at(m.body, rest, sub))
+    if isinstance(m, App):
+        if step == 1:
+            return App(replace_at(m.fn, rest, sub), m.arg)
+        if step == 2:
+            return App(m.fn, replace_at(m.arg, rest, sub))
+    raise TermError("bad address")
+
+
+def all_ranks(m: Term) -> set[int]:
+    ranks: set[int] = set()
+    for _, t in addresses(m):
+        if isinstance(t, Var):
+            ranks.add(t.ref.rank)
+        elif isinstance(t, Lam):
+            ranks.add(t.binder.rank)
+    return ranks
+
+
+def max_rank(m: Term) -> int:
+    ranks = all_ranks(m)
+    return max(ranks) if ranks else 0
+
+
+def hrm_substitute(p: Term, x: VarRef, q: Term) -> Term:
+    """Capture-free substitution p<x := q> under the HRM side-conditions.
+
+    Preconditions (checked): q typed of var_type(x); if q is closed and x is
+    free in p then x is the least free variable of p; if q is open then every
+    free z<x of p satisfies z <= max Free(q), every free z>x satisfies
+    max Free(q) < z, and max Free(q) is below every bound rank of p.
+    """
+    q_type = type_of(q)
+    if q_type != x.var_type:
+        raise TypeMismatch("substituted term type differs from the variable's type")
+    type_of(p)
+    p_free = {v.rank: v.var_type for v in free_vars(p)}
+    if x.rank in p_free and p_free[x.rank] != x.var_type:
+        raise PreconditionViolated("variable occurs in p at a different type")
+    q_free = free_vars(q)
+    if not q_free:
+        if x.rank in p_free and min(p_free) != x.rank:
+            raise PreconditionViolated("q closed but x is not the least free variable of p")
+    else:
+        top = q_free[-1].rank
+        for z in p_free:
+            if z < x.rank and z > top:
+                raise PreconditionViolated("free variable below x exceeds max Free(q)")
+            if z > x.rank and top >= z:
+                raise PreconditionViolated("max Free(q) not below a free variable above x")
+        for b in bound_refs(p):
+            if b.rank <= top:
+                raise PreconditionViolated("max Free(q) not below every bound rank of p")
+
+    fresh_base = max(max_rank(p), max_rank(q))
+    p_bound_ranks = {b.rank for b in bound_refs(p)}
+    copies = 0
+
+    def replace(t: Term) -> Term:
+        nonlocal copies, fresh_base
+        if isinstance(t, Var):
+            if t.ref == x:
+                copies += 1
+                q_bounds = {b.rank for b in bound_refs(q)}
+                if copies == 1 and not (q_bounds & p_bound_ranks):
+                    return q
+                # later copies (or colliding first copy) get fresh bound ranks
+                out = rename_bound_above(q, fresh_base)
+                fresh_base = max(fresh_base, max_rank(out))
+                return out
+            return t
+        if isinstance(t, Lam):
+            return Lam(t.binder, replace(t.body))
+        return App(replace(t.fn), replace(t.arg))
+
+    return replace(p)
+
+
+def _leftmost_outermost_redex(m: Term, at: Address = ()) -> Address | None:
+    if isinstance(m, Var):
+        return None
+    if isinstance(m, Lam):
+        return _leftmost_outermost_redex(m.body, at + (1,))
+    if isinstance(m.fn, Lam):
+        return at
+    left = _leftmost_outermost_redex(m.fn, at + (1,))
+    if left is not None:
+        return left
+    return _leftmost_outermost_redex(m.arg, at + (2,))
+
+
+def hrm_normalize(m: Term) -> Term:
+    """Normalize a typed term, contracting the leftmost-outermost redex and
+    renaming the redex body's bound variables above everything first so that
+    each contraction is a legal hrm_substitute."""
+    type_of(m)
+    while True:
+        a = _leftmost_outermost_redex(m)
+        if a is None:
+            return m
+        redex = subterm_at(m, a)
+        assert isinstance(redex, App) and isinstance(redex.fn, Lam)
+        lam, q = redex.fn, redex.arg
+        body = rename_bound_above(lam.body, max_rank(m))
+        reduced = hrm_substitute(body, lam.binder, q)
+        m = replace_at(m, a, reduced)
+
+
+# --- combinator derivations to lambda terms ---------------------------------
+
+def _counterpart(leaf: Axiom, base: int) -> tuple[Term, int]:
+    """Lambda counterpart of an axiom leaf, bound ranks base+1 upward."""
+    t = leaf.instantiated_type
+    assert isinstance(t, Imp)
+    if leaf.kind == "I":
+        x = VarRef(base + 1, t.antecedent)
+        return Lam(x, Var(x)), base + 1
+    if leaf.kind == "B":
+        # \f:chi->psi. \g:phi->chi. \x:phi. f (g x)
+        chi_psi = t.antecedent
+        phi_chi = t.consequent.antecedent  # type: ignore[union-attr]
+        phi = phi_chi.antecedent  # type: ignore[union-attr]
+        f = VarRef(base + 1, chi_psi)
+        g = VarRef(base + 2, phi_chi)
+        x = VarRef(base + 3, phi)
+        return Lam(f, Lam(g, Lam(x, App(Var(f), App(Var(g), Var(x)))))), base + 3
+    if leaf.kind == "B'":
+        # \f:phi->chi. \g:chi->psi. \x:phi. g (f x)
+        phi_chi = t.antecedent
+        chi_psi = t.consequent.antecedent  # type: ignore[union-attr]
+        phi = phi_chi.antecedent  # type: ignore[union-attr]
+        f = VarRef(base + 1, phi_chi)
+        g = VarRef(base + 2, chi_psi)
+        x = VarRef(base + 3, phi)
+        return Lam(f, Lam(g, Lam(x, App(Var(g), App(Var(f), Var(x)))))), base + 3
+    # W: \h:phi->(phi->chi). \x:phi. h x x
+    h = VarRef(base + 1, t.antecedent)
+    x = VarRef(base + 2, t.antecedent.antecedent)  # type: ignore[union-attr]
+    return Lam(h, Lam(x, App(App(Var(h), Var(x)), Var(x)))), base + 2
+
+
+def comb_to_lambda(d: CombDerivation) -> Term:
+    """Translate a checked derivation to a normal inhabitant of its type."""
+    phi = check_derivation(d)
+
+    def build(node: CombDerivation, base: int) -> tuple[Term, int]:
+        if isinstance(node, Axiom):
+            return _counterpart(node, base)
+        left, base = build(node.left, base)
+        right, base = build(node.right, base)
+        return App(left, right), base
+
+    raw, _ = build(d, 0)
+    result = hrm_normalize(raw)
+    assert is_nf_inhabitant(result, phi)
+    return result
 
 
 @dataclass(frozen=True)

@@ -95,12 +95,15 @@ def _feasible_tags(
     patterns (inexact). One test can try thousands of patterns, so it raises
     TimeoutError once `time.monotonic()` passes `deadline`."""
     n = len(chi)
-    if constraints & contraction_closure(frozenset({chi})):
+    if constraints and constraints & contraction_closure(frozenset({chi})):
         # every admissible gamma has F containing all contractions of chi
         return None, True
     s = len(subs)
     if n - 1 <= s:
         return tuple(subs[: max(0, n - 1)]), True
+    if not constraints:
+        # the first pattern the loop would try, all tags equal, fits
+        return (subs[0],) * (n - 1), True
     count = 0
     for pattern in _patterns(n - 1, s):
         count += 1

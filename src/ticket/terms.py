@@ -8,7 +8,9 @@ representative and is the reference. Both searches build only canonical
 terms: their one renaming step, `place_canonical`, maps canonical terms to
 canonical terms, so they never re-canonicalise. Their one split of an
 application's free variables is `free_splits`, the HRM application rule;
-`type_of` and `_is_hrm` check that rule on their own.
+`type_of` checks that rule on its own and raises NotHRM where a term breaks
+it. HRM substitution and normalization, which only the lemma checks use,
+are in `ticket.compact`.
 """
 from __future__ import annotations
 
@@ -121,24 +123,6 @@ _set_fn, _set_arg = slot_setters(App)
 Term = Var | Lam | App
 
 
-def subterm_at(m: Term, a: Address) -> Term:
-    for step in a:
-        if isinstance(m, Lam):
-            if step != 1:
-                raise TermError(f"address step {step} at abstraction node")
-            m = m.body
-        elif isinstance(m, App):
-            if step == 1:
-                m = m.fn
-            elif step == 2:
-                m = m.arg
-            else:
-                raise TermError(f"address step {step} at application node")
-        else:
-            raise TermError("address walks past a leaf")
-    return m
-
-
 def addresses(m: Term) -> Iterator[tuple[Address, Term]]:
     """All (address, subterm) pairs in preorder."""
     stack: list[tuple[Address, Term]] = [((), m)]
@@ -192,21 +176,6 @@ def bound_refs(m: Term) -> list[VarRef]:
     return out
 
 
-def all_ranks(m: Term) -> set[int]:
-    ranks: set[int] = set()
-    for _, t in addresses(m):
-        if isinstance(t, Var):
-            ranks.add(t.ref.rank)
-        elif isinstance(t, Lam):
-            ranks.add(t.binder.rank)
-    return ranks
-
-
-def max_rank(m: Term) -> int:
-    ranks = all_ranks(m)
-    return max(ranks) if ranks else 0
-
-
 def check_conventions(m: Term) -> None:
     """Bound-variable convention: distinct binders use distinct ranks and no
     rank is both free and bound. Raises InvalidTerm on violation."""
@@ -217,30 +186,6 @@ def check_conventions(m: Term) -> None:
     free_ranks = set(_free_map(m))
     if free_ranks & set(bound_ranks):
         raise InvalidTerm("rank both free and bound")
-
-
-def is_hrm(m: Term) -> bool:
-    try:
-        return _is_hrm(m)
-    except InvalidTerm:
-        return False
-
-
-def _is_hrm(m: Term) -> bool:
-    if isinstance(m, Var):
-        return True
-    if isinstance(m, Lam):
-        if not _is_hrm(m.body):
-            return False
-        fm = _free_map(m.body)
-        return bool(fm) and max(fm) == m.binder.rank and fm[m.binder.rank] == m.binder.var_type
-    if not (_is_hrm(m.fn) and _is_hrm(m.arg)):
-        return False
-    left, right = _free_map(m.fn), _free_map(m.arg)
-    _merge_free(left, right)
-    if not left:
-        return True
-    return bool(right) and max(left) <= max(right)
 
 
 def type_of(m: Term) -> Formula:
@@ -359,106 +304,6 @@ def free_splits(
     for p in range(r + 1) if fn_size is None else (fn_size,):
         for pos1 in itertools.combinations(ranks, p):
             yield pos1, arg_sides(pos1)
-
-
-def hrm_substitute(p: Term, x: VarRef, q: Term) -> Term:
-    """Capture-free substitution p<x := q> under the HRM side-conditions.
-
-    Preconditions (checked): q typed of var_type(x); if q is closed and x is
-    free in p then x is the least free variable of p; if q is open then every
-    free z<x of p satisfies z <= max Free(q), every free z>x satisfies
-    max Free(q) < z, and max Free(q) is below every bound rank of p.
-    """
-    q_type = type_of(q)
-    if q_type != x.var_type:
-        raise TypeMismatch("substituted term type differs from the variable's type")
-    type_of(p)
-    p_free = _free_map(p)
-    if x.rank in p_free and p_free[x.rank] != x.var_type:
-        raise PreconditionViolated("variable occurs in p at a different type")
-    q_free = _free_map(q)
-    if not q_free:
-        if x.rank in p_free and min(p_free) != x.rank:
-            raise PreconditionViolated("q closed but x is not the least free variable of p")
-    else:
-        top = max(q_free)
-        for z in p_free:
-            if z < x.rank and z > top:
-                raise PreconditionViolated("free variable below x exceeds max Free(q)")
-            if z > x.rank and top >= z:
-                raise PreconditionViolated("max Free(q) not below a free variable above x")
-        for b in bound_refs(p):
-            if b.rank <= top:
-                raise PreconditionViolated("max Free(q) not below every bound rank of p")
-
-    fresh_base = max(max_rank(p), max_rank(q))
-    p_bound_ranks = {b.rank for b in bound_refs(p)}
-    copies = 0
-
-    def replace(t: Term) -> Term:
-        nonlocal copies, fresh_base
-        if isinstance(t, Var):
-            if t.ref == x:
-                copies += 1
-                q_bounds = {b.rank for b in bound_refs(q)}
-                if copies == 1 and not (q_bounds & p_bound_ranks):
-                    return q
-                # later copies (or colliding first copy) get fresh bound ranks
-                out = rename_bound_above(q, fresh_base)
-                fresh_base = max(fresh_base, max_rank(out))
-                return out
-            return t
-        if isinstance(t, Lam):
-            return Lam(t.binder, replace(t.body))
-        return App(replace(t.fn), replace(t.arg))
-
-    return replace(p)
-
-
-def _leftmost_outermost_redex(m: Term, at: Address = ()) -> Address | None:
-    if isinstance(m, Var):
-        return None
-    if isinstance(m, Lam):
-        return _leftmost_outermost_redex(m.body, at + (1,))
-    if isinstance(m.fn, Lam):
-        return at
-    left = _leftmost_outermost_redex(m.fn, at + (1,))
-    if left is not None:
-        return left
-    return _leftmost_outermost_redex(m.arg, at + (2,))
-
-
-def replace_at(m: Term, a: Address, sub: Term) -> Term:
-    if not a:
-        return sub
-    step, rest = a[0], a[1:]
-    if isinstance(m, Lam):
-        if step != 1:
-            raise TermError("bad address")
-        return Lam(m.binder, replace_at(m.body, rest, sub))
-    if isinstance(m, App):
-        if step == 1:
-            return App(replace_at(m.fn, rest, sub), m.arg)
-        if step == 2:
-            return App(m.fn, replace_at(m.arg, rest, sub))
-    raise TermError("bad address")
-
-
-def hrm_normalize(m: Term) -> Term:
-    """Normalize a typed term, contracting the leftmost-outermost redex and
-    renaming the redex body's bound variables above everything first so that
-    each contraction is a legal hrm_substitute."""
-    type_of(m)
-    while True:
-        a = _leftmost_outermost_redex(m)
-        if a is None:
-            return m
-        redex = subterm_at(m, a)
-        assert isinstance(redex, App) and isinstance(redex.fn, Lam)
-        lam, q = redex.fn, redex.arg
-        body = rename_bound_above(lam.body, max_rank(m))
-        reduced = hrm_substitute(body, lam.binder, q)
-        m = replace_at(m, a, reduced)
 
 
 def alpha_canonical(m: Term) -> Term:

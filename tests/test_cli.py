@@ -486,6 +486,17 @@ def test_corpus_bad_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("command", ["check", "corpus"])
+def test_non_utf8_file_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "input"
+    path.write_bytes(b"a->a\n\xff\n")
+    argv = [command, str(path)] + (["a->a"] if command == "check" else [])
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "internal" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "corpus", "/nonexistent/x.txt")
     assert code == 2

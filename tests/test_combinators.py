@@ -13,12 +13,12 @@ from ticket.combinators import (
     axiom_i,
     axiom_w,
     check_derivation,
-    comb_to_lambda,
     derivation_from_json,
     derivation_to_json,
     extract_combinator,
     mp,
 )
+from ticket.compact import comb_to_lambda
 from ticket.formula import Atom, Imp, parse_formula
 from ticket.terms import (
     Lam,

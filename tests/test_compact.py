@@ -26,7 +26,6 @@ from ticket.terms import (
     VarRef,
     alpha_canonical,
     free_vars,
-    is_hrm,
     is_nf_inhabitant,
     node_count,
     print_term,
@@ -116,7 +115,6 @@ def test_compress_term_collapses_repeated_tag():
     assert type_of(out) == c
     assert blueprint_of(out) == alpha
     assert node_count(out) < node_count(m)
-    assert is_hrm(out)
 
 
 def test_compress_term_reflexive():

@@ -1,5 +1,6 @@
 """The decision path uses only the public names of its sibling modules,
-and its import loads neither `dataclasses` nor the lemma-side modules.
+its import loads neither `dataclasses` nor the lemma-side modules, and it
+defines nothing that only the lemma checks use.
 
 `compact` is exempt: it derives the paper's lemma objects from the core's
 internals on purpose."""
@@ -14,12 +15,23 @@ import pytest
 import ticket
 
 DECISION_PATH = ["formula", "terms", "combinators", "oracle", "countermodel", "shadow", "cli"]
+LEMMA_SIDE = ["blueprint", "compact"]
+# decision-path functions that tests use as references for the search
+TEST_REFERENCES = [
+    ("terms", "alpha_canonical"),
+    ("oracle", "enumerate_inhabitants"),
+    ("countermodel", "search_matrices"),
+]
+
+
+def _parse(module: str) -> ast.Module:
+    path = os.path.join(os.path.dirname(ticket.__file__), module + ".py")
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
 
 
 def _private_imports(module: str) -> list[str]:
-    path = os.path.join(os.path.dirname(ticket.__file__), module + ".py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    tree = _parse(module)
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ticket")):
@@ -30,6 +42,67 @@ def _private_imports(module: str) -> list[str]:
 @pytest.mark.parametrize("module", DECISION_PATH)
 def test_decision_path_imports_no_private_names(module):
     assert _private_imports(module) == []
+
+
+def _sibling_imports(tree: ast.Module) -> tuple[dict, dict]:
+    """Local name -> (module, name) for `from .module import name`, and
+    local name -> module for `from . import module`."""
+    names, modules = {}, {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module:
+                    names[local] = (node.module, alias.name)
+                else:
+                    modules[local] = alias.name
+    return names, modules
+
+
+def _unreached_definitions() -> list[str]:
+    """Top-level functions and classes of the decision path that no root
+    reaches by name: the roots are `cli.main`, each module's import-time
+    code, what the lemma-side modules import, and TEST_REFERENCES."""
+    trees = {m: _parse(m) for m in DECISION_PATH}
+    defs = {
+        m: {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        for m, tree in trees.items()
+    }
+    imports = {m: _sibling_imports(tree) for m, tree in trees.items()}
+
+    def refs(module: str, node: ast.AST):
+        names, modules = imports[module]
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                if sub.id in defs[module]:
+                    yield module, sub.id
+                elif sub.id in names:
+                    yield names[sub.id]
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                if sub.value.id in modules:
+                    yield modules[sub.value.id], sub.attr
+
+    roots = [("cli", "main"), *TEST_REFERENCES]
+    for m in LEMMA_SIDE:
+        roots.extend(_sibling_imports(_parse(m))[0].values())
+    for m, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)):
+                roots.extend(refs(m, node))
+    reached: set[tuple[str, str]] = set()
+    stack = [r for r in roots if r[0] in defs]
+    while stack:
+        m, name = stack.pop()
+        if (m, name) in reached or name not in defs[m]:
+            continue
+        reached.add((m, name))
+        stack.extend(r for r in refs(m, defs[m][name]) if r[0] in defs)
+    return sorted(f"{m}.{n}" for m in DECISION_PATH for n in defs[m] if (m, n) not in reached)
+
+
+def test_decision_path_defines_only_what_it_uses():
+    # a helper that only the lemma checks use belongs in `compact`
+    assert _unreached_definitions() == []
 
 
 def test_cli_import_loads_no_dataclasses_and_no_lemma_modules():

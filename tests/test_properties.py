@@ -13,24 +13,16 @@ from ticket.blueprint import (
     subtree_at,
     up_closure,
 )
-from ticket.combinators import (
-    Axiom,
-    check_derivation,
+from ticket.combinators import Axiom, check_derivation, extract_combinator
+from ticket.compact import (
+    abstract_extract_chain,
     comb_to_lambda,
-    extract_combinator,
-)
-from ticket.compact import abstract_extract_chain, compress_term, switch_var
-from ticket.terms import (
-    App,
-    alpha_canonical,
-    free_vars,
+    compress_term,
     hrm_normalize,
-    is_hrm,
-    is_normal,
-    node_count,
     subterm_at,
-    type_of,
+    switch_var,
 )
+from ticket.terms import App, alpha_canonical, free_vars, is_normal, node_count, type_of
 
 import conftest
 from conftest import SEED, random_blueprint, random_derivation
@@ -136,7 +128,6 @@ def test_compress_term_postconditions(pair, seed):
     assert type_of(out) == type_of(m)
     assert blueprint_of(out) == alpha
     assert node_count(out) <= node_count(m)
-    assert is_hrm(out)
     assert is_normal(out)
 
 

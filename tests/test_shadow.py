@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ from ticket.compact import (
     shadow_of,
 )
 from ticket.formula import parse_formula
-from ticket.oracle import enumerate_inhabitants
+from ticket.oracle import bounded_decide, enumerate_inhabitants
 from ticket.shadow import (
     DecideConfig,
     _feasible_tags,
@@ -260,6 +261,21 @@ def test_feasibility_test_checks_the_deadline():
         _feasible_tags(chi, constraints, [a], deadline=0.0)
 
 
+def test_unconstrained_feasibility_computes_no_closure(monkeypatch):
+    # with no constraint the first tag pattern fits: distinct tags when
+    # there are enough subformulas, else all tags equal to the first
+    def closure(seqs):
+        raise AssertionError("contraction_closure called")
+
+    monkeypatch.setattr(ticket.shadow, "contraction_closure", closure)
+    b, c = Atom("b"), Atom("c")
+    none = frozenset()
+    assert _feasible_tags((), none, [a]) == ((), True)
+    assert _feasible_tags((a, b, c), none, [a, b, c]) == ((a, b), True)
+    assert _feasible_tags((a, b, c), none, [c, a]) == ((c, a), True)
+    assert _feasible_tags((a, b, c, a), none, [c, a]) == ((c, c, c), True)
+
+
 def test_caps_resource_exhaustion(monkeypatch):
     monkeypatch.setattr(ticket.shadow, "MAX_SHADOW_NODES", 2)
     phi = parse_formula("(x->y)->((p->x)->(p->y))")
@@ -449,3 +465,27 @@ def test_shadow_search_stats_are_pinned(text, expanded, witnesses):
     }
     assert (stats["expanded"], stats["witnesses"]) == (expanded, witnesses)
     assert stats["closure_complete"] and stats["closure_exact"]
+
+
+def test_census_up_to_four_arrows():
+    # every formula of at most 4 arrows over a, b, c is decided; the 18
+    # shadow Empty verdicts carry no countermodel yet
+    census = formula_corpus(4, (a, Atom("b"), Atom("c")))
+    assert len(census) == 3873
+    decisions = [decide(phi, DecideConfig(time_budget=2.0)) for phi in census]
+    counts = collections.Counter((d.stats["engine"], d.verdict) for d in decisions)
+    assert counts == {
+        ("countermodel", "Empty"): 3834,
+        ("bounded", "Inhabited"): 21,
+        ("shadow", "Empty"): 18,
+    }
+    refuted = [phi for phi, d in zip(census, decisions) if d.stats["engine"] == "countermodel"]
+    assert all(bounded_decide(phi, ticket.oracle.MAX_ORACLE_NODES) is None for phi in refuted)
+    for phi, d in zip(census, decisions):
+        if d.stats["engine"] != "countermodel":
+            assert decide(phi, DecideConfig(engine="shadow", time_budget=2.0)).verdict == d.verdict
+    # shadow never contradicts a countermodel; a 0.1 s budget may leave it
+    # undecided, and every fifth refuted formula keeps the test short
+    for phi in refuted[::5]:
+        verdict = decide(phi, DecideConfig(engine="shadow", time_budget=0.1)).verdict
+        assert verdict in ("Empty", "ResourceExhausted")

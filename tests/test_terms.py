@@ -1,24 +1,22 @@
 import pytest
 
+from ticket.compact import hrm_normalize, replace_at, subterm_at
 from ticket.formula import Atom, Imp
 from ticket.terms import (
     App,
     Lam,
+    NotHRM,
     Var,
     VarRef,
     addresses,
     alpha_canonical,
     bound_refs,
     free_vars,
-    hrm_normalize,
-    is_hrm,
     is_nf_inhabitant,
     is_normal,
     node_count,
     print_term,
     rename_bound_above,
-    replace_at,
-    subterm_at,
     type_of,
 )
 
@@ -59,24 +57,27 @@ def test_lam_binder_must_be_greatest_free():
     h = VarRef(1, Imp(a, b))
     y = VarRef(2, a)
     body = App(Var(h), Var(y))
-    assert is_hrm(Lam(y, body))
-    assert not is_hrm(Lam(h, body))
+    assert type_of(Lam(y, body)) == Imp(a, b)
+    with pytest.raises(NotHRM):
+        type_of(Lam(h, body))
 
 
 def test_lam_requires_occurrence():
     # vacuous abstraction violates the relevance discipline
     m = Lam(VarRef(2, b), Var(x1a))
-    assert not is_hrm(m)
+    with pytest.raises(NotHRM):
+        type_of(m)
 
 
 def test_app_free_var_side_condition():
     # function side free vars must not extend past the argument side
     f = VarRef(2, Imp(a, b))
     y = VarRef(1, a)
-    assert not is_hrm(App(Var(f), Var(y)))
+    with pytest.raises(NotHRM):
+        type_of(App(Var(f), Var(y)))
     f2 = VarRef(1, Imp(a, b))
     y2 = VarRef(2, a)
-    assert is_hrm(App(Var(f2), Var(y2)))
+    assert type_of(App(Var(f2), Var(y2))) == b
 
 
 def test_addresses_and_subterm():
