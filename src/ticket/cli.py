@@ -19,9 +19,20 @@ Subcommands:
                    Empty without a countermodel is flagged no-countermodel;
                    exit 0 iff no disagreement, 2 on bad input
 
+The command line is read by `read_argv`, a plain function over the table
+COMMANDS (each command's positionals, switches, valued options and
+handler). Options may come anywhere after the command word, be cut to a
+unique prefix and take their value as `--opt=value`; `--` ends the options,
+and `-h` or `--help` prints USAGE to stdout and exits 0. A command line that
+fits no usage prints USAGE and one `ticket: error: ...` line on stderr and
+exits 2. Reading builds no parser and compiles no regular expression, so a
+process forked after `import ticket.cli` pays only for the few objects the
+reader touches.
+
 Any command that fails with an unexpected exception prints one
 `error: internal: ...` line on stderr and exits 4, so that a crash is never
-read as a verdict.
+read as a verdict. Output to a closed pipe exits 4 too, with one
+`error: cannot write output: ...` line.
 
 The only settings are `--engine` and `--time-budget`; every other limit is a
 constant of the library. JSON output is deterministic: identical input and
@@ -30,11 +41,11 @@ mode). The `countermodel` key is null or an object with sorted keys.
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
+import os
 import sys
+from types import SimpleNamespace
 
 from .combinators import (
     CertificateError,
@@ -213,66 +224,220 @@ def cmd_corpus(args) -> int:
     return EXIT_INHABITED if disagreements == 0 else EXIT_EMPTY
 
 
+class UsageError(Exception):
+    """A command line that fits no usage of `ticket`; `main` prints the
+    usage block and the message, and exits 2."""
+
+
+ENGINES = ("auto", "bounded", "shadow")
+
+
+def _engine(text: str) -> str:
+    if text not in ENGINES:
+        raise UsageError(
+            f"argument --engine: invalid choice: {text!r} (choose from {', '.join(ENGINES)})"
+        )
+    return text
+
+
 def _seconds(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        raise UsageError(
+            f"argument --time-budget: expected a positive, finite number of seconds, got {text!r}"
+        )
     return value
 
 
-def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--engine", choices=["auto", "bounded", "shadow"], default="auto")
-    p.add_argument("--time-budget", type=_seconds, default=None, metavar="SECONDS")
+# valued option -> (attribute, default, reader of the value)
+_VALUED = {
+    "--engine": ("engine", "auto", _engine),
+    "--time-budget": ("time_budget", None, _seconds),
+}
+_HELP = ("-h", "--help")
+
+# command -> (positionals, switches, valued options, handler)
+COMMANDS = {
+    "decide": (("formula",), ("--json", "--trace"), ("--engine", "--time-budget"), cmd_decide),
+    "check": (("certificate", "formula"), (), (), cmd_check),
+    "corpus": (("file",), (), ("--engine", "--time-budget"), cmd_corpus),
+}
+
+USAGE = """\
+usage: ticket decide FORMULA [--engine ENGINE] [--time-budget SECONDS] [--json] [--trace]
+       ticket check CERTIFICATE FORMULA
+       ticket corpus FILE [--engine ENGINE] [--time-budget SECONDS]
+       ticket -h | --help
+
+ENGINE is auto (the default), bounded or shadow. SECONDS is a positive,
+finite number. Options may come before, between or after the positionals,
+be cut to a unique prefix (--eng) and take their value as --opt=value;
+`--` ends the options.
+"""
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built at import and shared by every
-    `main` call."""
-    parser = argparse.ArgumentParser(
-        prog="ticket",
-        description="Decide inhabitation of implicational formulas and "
-        "verify combinator certificates.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_decide = sub.add_parser("decide", help="decide one formula")
-    p_decide.add_argument("formula")
-    _add_engine_flags(p_decide)
-    p_decide.add_argument("--json", action="store_true")
-    p_decide.add_argument("--trace", action="store_true")
-    p_decide.set_defaults(func=cmd_decide)
-
-    p_check = sub.add_parser("check", help="verify a certificate file")
-    p_check.add_argument("certificate")
-    p_check.add_argument("formula")
-    p_check.set_defaults(func=cmd_check)
-
-    p_corpus = sub.add_parser("corpus", help="decide a file of formulas")
-    p_corpus.add_argument("file")
-    _add_engine_flags(p_corpus)
-    p_corpus.set_defaults(func=cmd_corpus)
-
-    return parser
+def _negative_number(token: str) -> bool:
+    """Whether `token`, which starts with '-', reads as a negative number:
+    digits, or digits, a point and digits, with at most one line break at
+    the end."""
+    text = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, point, fraction = text.partition(".")
+    if point:
+        return fraction.isdecimal() and (not whole or whole.isdecimal())
+    return whole.isdecimal()
 
 
-# Built at import, so that a process forked after the import, or a process
-# that runs `main` many times, never builds it again. The two parses compile
-# argparse's regular expressions into `re`'s cache here too, not in the first
-# `main` of every forked process.
-build_parser().parse_args(["decide", "a", "--json"])
-build_parser().parse_args(["check", "x", "a"])
+def _option(token: str, options: tuple) -> tuple | None:
+    """None if `token` is a positional, else (the option among `options` it
+    names, or None for an unknown option; the value attached to it, or
+    None). A long option may be cut to a unique prefix and take its value
+    after '='; `-h` takes what follows it. Negative numbers, `-` and
+    unknown options with a space in them are positionals."""
+    if not token.startswith("-"):
+        return None
+    if token in options:
+        return token, None
+    if len(token) == 1:
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in options:
+        return name, value
+    if token[1] == "-":
+        matches = [option for option in options if option.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token[:2] in options:
+        return token[:2], token[2:]
+    if _negative_number(token) or " " in token:
+        return None
+    return None, None
+
+
+def _help(option: str, value: str | None) -> bool:
+    """True for a help option: `-h` may repeat as `-hh...`; any other
+    attached value is an error."""
+    if value is None or (option == "-h" and value and value.strip("h") == ""):
+        return True
+    raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+
+
+def read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The command line `argv`, without the program name, read against
+    COMMANDS: a namespace with the command, its handler and one attribute
+    per positional and option, or None when it asks for help. Raises
+    UsageError for any other command line.
+
+    Before the command only `-h` and `--help` count. After it the options
+    may come before, between or after the positionals, and the last
+    repeat wins. A valued option takes the next token unless that is an
+    option or `--`. Everything after the first `--` is positional; that
+    `--` itself is an unrecognized argument when every positional came
+    before the last option before it."""
+    unknown = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            raise UsageError("expected a command before '--'")
+        kind = _option(token, _HELP)
+        if kind is None:
+            break
+        if kind[0] is None:
+            unknown.append(token)
+        elif _help(*kind):
+            return None
+    else:
+        raise UsageError("the following arguments are required: command")
+    if token not in COMMANDS:
+        raise UsageError(f"invalid command: {token!r} (choose from {', '.join(COMMANDS)})")
+    positionals, switches, valued, handler = COMMANDS[token]
+    values = {"command": token, "handler": handler}
+    values.update((switch[2:], False) for switch in switches)
+    values.update(_VALUED[option][:2] for option in valued)
+
+    rest = argv[i + 1:]
+    options = _HELP + switches + valued
+    kinds = []
+    for token in rest:
+        if token == "--":
+            break
+        kinds.append(_option(token, options))
+    words: list[str] = []
+    words_before_last_option = 0
+    j = 0
+    while j < len(kinds):
+        kind, token = kinds[j], rest[j]
+        j += 1
+        if kind is None:
+            words.append(token)
+            continue
+        option, value = kind
+        if option is None:
+            unknown.append(token)
+        elif option in _HELP:
+            if _help(option, value):
+                return None
+        elif option in switches:
+            if value is not None:
+                raise UsageError(f"argument {option}: ignored explicit argument {value!r}")
+            values[option[2:]] = True
+        else:
+            if value is None:
+                if j == len(kinds) or kinds[j] is not None:
+                    raise UsageError(f"argument {option}: expected one argument")
+                value = rest[j]
+                j += 1
+            attribute, _, read = _VALUED[option]
+            values[attribute] = read(value)
+        words_before_last_option = len(words)
+    if j < len(rest):
+        if words_before_last_option >= len(positionals):
+            unknown.append("--")
+        words += rest[j + 1:]
+    if len(words) < len(positionals):
+        missing = ", ".join(positionals[len(words):])
+        raise UsageError(f"the following arguments are required: {missing}")
+    unknown += words[len(positionals):]
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    values.update(zip(positionals, words))
+    return SimpleNamespace(**values)
+
+
+def build_parser():
+    """The command-line reader `main` uses, `read_argv`. It builds nothing:
+    a process is ready to read a command line once `ticket.cli` is
+    imported."""
+    return read_argv
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run `ticket` on `argv`, or on `sys.argv[1:]` when it is None (as the
+    console script calls it), and return the exit code."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage already; normalize other codes
-        return EXIT_ERROR if exc.code else 0
+        args = build_parser()(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        sys.stderr.write(f"{USAGE}ticket: error: {exc}\n")
+        return EXIT_ERROR
     try:
-        return args.func(args)
+        if args is None:
+            sys.stdout.write(USAGE)
+            code = 0
+        else:
+            code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # whoever read stdout has gone; point it at devnull, so that the
+        # flush at exit does not fail a second time
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INTERNAL
     except Exception as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -51,8 +51,7 @@ deep = st.builds(
 def test_decide_never_crashes_and_every_verdict_checks(text):
     code, out, err = _run(["decide", text, "--json", "--time-budget", "0.2"])
     if code == EXIT_ERROR:
-        # a syntax error, or a usage error for text that argparse reads as
-        # an option
+        # a syntax error, or a usage error for text that reads as an option
         assert out == "" and "error: " in err
         return
     payload = json.loads(out)

@@ -118,3 +118,5 @@ def test_cli_import_loads_no_dataclasses_and_no_lemma_modules():
     loaded = set(json.loads(out.stdout))
     assert "ticket.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ticket.blueprint", "ticket.compact"}
+    # the command line is read without argparse, whose import loads gettext
+    assert not loaded & {"argparse", "gettext"}
