@@ -36,8 +36,10 @@ read as a verdict. Output to a closed pipe exits 4 too, with one
 
 The only settings are `--engine` and `--time-budget`; every other limit is a
 constant of the library. JSON output is deterministic: identical input and
-flags produce byte-identical bytes (wall-clock time is reported only in text
-mode). The `countermodel` key is null or an object with sorted keys.
+flags produce byte-identical bytes, with or without `--trace`. Wall-clock
+time is reported only by `--trace`, which prints every stat as a
+`  # key = value` line on stderr in both modes. The `countermodel` key is
+null or an object with sorted keys.
 """
 from __future__ import annotations
 
@@ -98,7 +100,7 @@ def _decision_payload(phi, d: Decision) -> dict:
     }
 
 
-def _print_decision_text(phi, d: Decision, trace: bool) -> None:
+def _print_decision_text(phi, d: Decision) -> None:
     print(f"{print_formula(phi)}: {d.verdict}")
     if d.witness_lambda is not None:
         print(f"  witness: {print_term(d.witness_lambda)}")
@@ -107,9 +109,6 @@ def _print_decision_text(phi, d: Decision, trace: bool) -> None:
     if d.countermodel is not None:
         cm = json.dumps(countermodel_to_json(d.countermodel), sort_keys=True)
         print(f"  countermodel: {cm}")
-    if trace:
-        for k in sorted(d.stats):
-            print(f"  # {k} = {d.stats[k]}", file=sys.stderr)
 
 
 def cmd_decide(args) -> int:
@@ -123,7 +122,10 @@ def cmd_decide(args) -> int:
         payload = _decision_payload(phi, d)
         sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     else:
-        _print_decision_text(phi, d, args.trace)
+        _print_decision_text(phi, d)
+    if args.trace:
+        for k in sorted(d.stats):
+            print(f"  # {k} = {d.stats[k]}", file=sys.stderr)
     return _VERDICT_EXIT[d.verdict]
 
 

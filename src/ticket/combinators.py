@@ -1,14 +1,15 @@
 """BB'IW combinator derivations: checkable modus-ponens certificates, and
-extraction of a certificate from any normal inhabitant. The translation of
-a derivation back to a lambda term, which only the lemma checks use, is
-`compact.comb_to_lambda`."""
+extraction of a certificate from any normal inhabitant. Extraction is one
+bottom-up pass over the term, and `check_derivation` checks its output
+again before it is returned. The translation of a derivation back to a
+lambda term, which only the lemma checks use, is `compact.comb_to_lambda`."""
 from __future__ import annotations
 
 from typing import Any
 
 from .formula import Formula, FormulaSyntaxError, Imp, parse_formula, print_formula
 from .record import Record, slot_setters
-from .terms import Lam, PreconditionViolated, Term, Var, free_vars, is_nf_inhabitant
+from .terms import Lam, PreconditionViolated, Term, Var, is_nf_inhabitant
 
 Path = tuple[int, ...]
 
@@ -169,126 +170,80 @@ def extend_derivation(d: CombDerivation, prefix: list[Formula]) -> CombDerivatio
     t = _root_type(d)
     if not isinstance(t, Imp):
         raise PreconditionViolated("extend_derivation needs an arrow-typed derivation")
-    if not prefix:
-        return d
-    head, tail = prefix[0], list(prefix[1:])
-    inner = extend_derivation(d, tail)
-    it = _root_type(inner)
-    assert isinstance(it, Imp)
-    return mp(axiom_b(it.antecedent, it.consequent, head), inner)
+    for head in reversed(prefix):
+        d = mp(axiom_b(t.antecedent, t.consequent, head), d)
+        t = d.result_type
+    return d
 
 
-def _peel(t: Formula, n: int) -> tuple[list[Formula], Formula]:
-    parts: list[Formula] = []
-    for _ in range(n):
-        if not isinstance(t, Imp):
-            raise PreconditionViolated("type too shallow for the given index sequence")
-        parts.append(t.antecedent)
-        t = t.consequent
-    return parts, t
-
-
-def apply_combine(
+def _combine(
     d1: CombDerivation,
     d2: CombDerivation,
-    i_seq: tuple[int, ...],
-    j_seq: tuple[int, ...],
-    k_seq: tuple[int, ...],
+    i: tuple[int, ...],
+    j: tuple[int, ...],
+    omega: dict[int, Formula],
 ) -> CombDerivation:
     """Combine d1: w_i1..w_in -> (chi->psi) and d2: w_j1..w_jm -> chi into a
-    derivation of w_k1..w_kp -> psi, where k enumerates {i} union {j}.
+    derivation of w_k1..w_kp -> psi. Here i and j are increasing ranks, k
+    enumerates their union and w_k is omega[k]. Needs n = 0, or n,m > 0
+    with i_n <= j_m, as the HRM application rule gives.
 
-    Requires n = 0, or n,m > 0 with i_n <= j_m. The recursion uses B to push
-    the combination under shared antecedents, B' to swap the two streams, and
-    W to contract when the top antecedents coincide. The types of d1 and d2
-    are read from their root annotations, not re-checked; every new step is
-    built through `mp`, which checks that the types fit.
-    """
-    for seq in (i_seq, j_seq, k_seq):
-        if any(seq[x] >= seq[x + 1] for x in range(len(seq) - 1)):
-            raise PreconditionViolated("index sequences must be strictly increasing")
-    if tuple(sorted(set(i_seq) | set(j_seq))) != k_seq:
-        raise PreconditionViolated("k sequence must enumerate the union of i and j")
-    if i_seq and not (j_seq and i_seq[-1] <= j_seq[-1]):
-        raise PreconditionViolated("need n = 0 or i_n <= j_m")
-
-    t1 = _root_type(d1)
-    t2 = _root_type(d2)
-    omega: dict[int, Formula] = {}
-
-    def record(positions: tuple[int, ...], parts: list[Formula]) -> None:
-        for pos, part in zip(positions, parts):
-            if omega.setdefault(pos, part) != part:
-                raise PreconditionViolated(f"conflicting formulas at shared position {pos}")
-
-    parts1, rest1 = _peel(t1, len(i_seq))
-    parts2, chi = _peel(t2, len(j_seq))
-    record(i_seq, parts1)
-    record(j_seq, parts2)
-    if not (isinstance(rest1, Imp) and rest1.antecedent == chi):
-        raise PreconditionViolated("d1 target is not (chi -> psi) for d2's chi")
-
-    def combine(da, i, db, j):
-        # da proves w_i -> (chi->psi); db proves w_j -> chi
-        n, m = len(i), len(j)
-        _, target = _peel(_root_type(da), n)
-        assert isinstance(target, Imp)
-        chi_, psi_ = target.antecedent, target.consequent
-        if n == 0:
-            if m == 0:
-                return mp(da, db)
-            w = omega[j[-1]]
-            step = mp(axiom_b(chi_, psi_, w), da)
-            if m == 1:
-                return mp(step, db)
-            return combine(step, (), db, j[:-1])
-        if m > 1 and i[-1] <= j[-2]:
-            w = omega[j[-1]]
-            lifted = extend_derivation(axiom_b(chi_, psi_, w), [omega[p] for p in i])
-            return combine(mp(lifted, da), i, db, j[:-1])
-        # m == 1 or i[-1] > j[-2]: route through B', possibly contract with W
-        w = omega[j[-1]]
-        lifted = extend_derivation(axiom_b_prime(w, chi_, psi_), [omega[p] for p in j[:-1]])
-        swapped = combine(mp(lifted, db), j[:-1], da, i)
-        if j[-1] > i[-1]:
-            return swapped
-        # j_m = i_n: swapped proves w_k1..w_k(p-1) -> (w -> (w -> psi))
-        shared = tuple(sorted(set(i) | set(j[:-1])))
-        contraction = extend_derivation(axiom_w(w, psi_), [omega[p] for p in shared[:-1]])
-        return mp(contraction, swapped)
-
-    return combine(d1, i_seq, d2, j_seq)
+    The recursion uses B to push the combination under shared antecedents,
+    B' to swap the two streams, and W to contract when the top antecedents
+    coincide. Every new step is built through `mp`, which checks that the
+    types fit."""
+    if not j:
+        return mp(d1, d2)
+    target = _root_type(d1)
+    for _ in i:
+        target = target.consequent
+    chi, psi = target.antecedent, target.consequent
+    w = omega[j[-1]]
+    # n == 0 or i_n <= j_(m-1): push the combination under w with B
+    if not i or (len(j) > 1 and i[-1] <= j[-2]):
+        lifted = extend_derivation(axiom_b(chi, psi, w), [omega[p] for p in i])
+        return _combine(mp(lifted, d1), d2, i, j[:-1], omega)
+    # otherwise swap the two streams with B', then contract with W if
+    # j_m = i_n
+    lifted = extend_derivation(axiom_b_prime(w, chi, psi), [omega[p] for p in j[:-1]])
+    swapped = _combine(mp(lifted, d2), d1, j[:-1], i, omega)
+    if j[-1] > i[-1]:
+        return swapped
+    # swapped proves w_k1..w_k(p-1) -> (w -> (w -> psi))
+    shared = sorted(set(i + j))
+    contraction = extend_derivation(axiom_w(w, psi), [omega[p] for p in shared[:-1]])
+    return mp(contraction, swapped)
 
 
 def extract_combinator(m: Term, phi: Formula) -> CombDerivation:
-    """Certificate extraction from a normal inhabitant: variables become I
-    instances, abstractions are transparent (the derived formula already has
-    the arrow shape), applications go through apply_combine with the index
-    sequences given by the positions of each side's free variables within the
-    merged free-variable sequence."""
+    """Certificate extraction from a normal inhabitant, in one bottom-up
+    pass. Each subterm t yields a derivation of w(Free(t)) -> type_of(t)
+    and Free(t), the ranks of its free variables in increasing order, each
+    mapped to its type. A variable yields an I instance and itself; an
+    abstraction yields its body's derivation, which already has the arrow
+    shape, and drops its binder, the greatest rank; an application merges
+    its sides' free variables and joins their derivations with `_combine`.
+    The finished certificate is checked again, and its conclusion compared
+    with phi."""
     if not is_nf_inhabitant(m, phi):
         raise PreconditionViolated("extract_combinator needs a normal inhabitant")
 
-    def extract(t: Term) -> CombDerivation:
-        # invariant: returns a derivation of W(Free(t)) -> type_of(t)
+    def extract(t: Term) -> tuple[CombDerivation, dict[int, Formula]]:
         if isinstance(t, Var):
-            return axiom_i(t.ref.var_type)
+            return axiom_i(t.ref.var_type), {t.ref.rank: t.ref.var_type}
         if isinstance(t, Lam):
-            return extract(t.body)
-        left = extract(t.fn)
-        right = extract(t.arg)
-        fv_fn = [v.rank for v in free_vars(t.fn)]
-        fv_arg = [v.rank for v in free_vars(t.arg)]
-        merged = sorted(set(fv_fn) | set(fv_arg))
-        pos = {rank: idx + 1 for idx, rank in enumerate(merged)}
-        i_seq = tuple(pos[r] for r in fv_fn)
-        j_seq = tuple(pos[r] for r in fv_arg)
-        k_seq = tuple(pos[r] for r in merged)
-        return apply_combine(left, right, i_seq, j_seq, k_seq)
+            d, free = extract(t.body)
+            free.popitem()  # the binder
+            return d, free
+        d1, free1 = extract(t.fn)
+        d2, free2 = extract(t.arg)
+        omega = dict(sorted({**free1, **free2}.items()))
+        return _combine(d1, d2, tuple(free1), tuple(free2), omega), omega
 
-    d = extract(m)
+    d = extract(m)[0]
     result = check_derivation(d)
-    assert result == phi, f"extracted {print_formula(result)}, wanted {print_formula(phi)}"
+    if result != phi:
+        raise CertificateError(f"extracted {print_formula(result)}, wanted {print_formula(phi)}")
     return d
 
 

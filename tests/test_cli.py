@@ -136,6 +136,49 @@ def test_unexpected_exception_exits_internal(capsys, monkeypatch):
     assert err == "error: internal: RuntimeError: boom\n"
 
 
+@pytest.mark.parametrize("optimize", [["-O"], []], ids=["optimized", "plain"])
+def test_wrong_certificate_fails_closed(optimize):
+    # axiom_i patched to derive b->b whatever it is asked for: the
+    # certificate extracted for a->a then proves b->b. The comparison with
+    # the formula must hold under -O, which strips assert statements.
+    code = (
+        "import sys\n"
+        "from ticket import cli, combinators\n"
+        "from ticket.formula import Atom, Imp\n"
+        f"if sys.flags.optimize != {len(optimize)}:\n"
+        "    sys.exit(99)\n"
+        "combinators.axiom_i = lambda phi: combinators.Axiom('I', Imp(Atom('b'), Atom('b')))\n"
+        "sys.exit(cli.main(['decide', 'a->a', '--json']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ticket.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == EXIT_INTERNAL
+    assert proc.stdout == ""
+    assert proc.stderr == "error: internal: CertificateError: extracted b->b, wanted a->a\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_trace_prints_every_stat_on_stderr(capsys, mode):
+    argv = ["decide", "a->(b->a)", "--engine", "shadow"]
+    stats = json.loads(run(capsys, *argv, "--json")[1])["stats"]
+    plain = run(capsys, *argv, *mode)
+    code, out, err = run(capsys, *argv, *mode, "--trace")
+    # stdout is byte-identical with and without --trace
+    assert plain == (code, out, "")
+    lines = [line.partition(" = ") for line in err.splitlines()]
+    assert [key for key, _, _ in lines] == [f"  # {k}" for k in sorted([*stats, "wall_time"])]
+    for key, _, value in lines:
+        if key == "  # wall_time":
+            assert float(value) >= 0
+        else:
+            assert value == str(stats[key[4:]])
+
+
 def test_decide_json_schema(capsys):
     code, out, _ = run(capsys, "decide", "a->a", "--json")
     assert code == 0

@@ -21,7 +21,9 @@ from ticket.combinators import (
 from ticket.compact import comb_to_lambda
 from ticket.formula import Atom, Imp, parse_formula
 from ticket.terms import (
+    App,
     Lam,
+    PreconditionViolated,
     Var,
     VarRef,
     alpha_canonical,
@@ -83,6 +85,26 @@ def test_extract_combinator_identity():
     x = VarRef(1, a)
     d = extract_combinator(Lam(x, Var(x)), Imp(a, a))
     assert check_derivation(d) == Imp(a, a)
+
+
+_f = VarRef(1, Imp(a, a))
+_x1, _x2 = VarRef(1, a), VarRef(2, a)
+
+
+@pytest.mark.parametrize(
+    "term, phi",
+    [
+        (Var(_x1), a),
+        (Lam(_x1, Var(_x1)), Imp(b, b)),
+        (App(Lam(_f, Var(_f)), Lam(_x2, Var(_x2))), Imp(a, a)),
+        # \x2:a. \x1:a->a. x1 x2: x1 binds below the free x2
+        (Lam(_x2, Lam(_f, App(Var(_f), Var(_x2)))), parse_formula("a->(a->a)->a")),
+    ],
+    ids=["open", "other-type", "redex", "binder-not-greatest"],
+)
+def test_extract_combinator_needs_a_normal_inhabitant(term, phi):
+    with pytest.raises(PreconditionViolated, match="needs a normal inhabitant"):
+        extract_combinator(term, phi)
 
 
 def test_extract_combinator_roundtrip():

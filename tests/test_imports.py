@@ -44,6 +44,14 @@ def test_decision_path_imports_no_private_names(module):
     assert _private_imports(module) == []
 
 
+@pytest.mark.parametrize("module", DECISION_PATH)
+def test_decision_path_has_no_assert(module):
+    # `python -O` strips assert statements, so every check on the decision
+    # path raises instead
+    lines = [node.lineno for node in ast.walk(_parse(module)) if isinstance(node, ast.Assert)]
+    assert lines == []
+
+
 def _sibling_imports(tree: ast.Module) -> tuple[dict, dict]:
     """Local name -> (module, name) for `from .module import name`, and
     local name -> module for `from . import module`."""
