@@ -1,8 +1,15 @@
 """BB'IW combinator derivations: checkable modus-ponens certificates, and
 extraction of a certificate from any normal inhabitant. Extraction is one
 bottom-up pass over the term, and `check_derivation` checks its output
-again before it is returned. The translation of a derivation back to a
-lambda term, which only the lemma checks use, is `compact.comb_to_lambda`."""
+again before it is returned.
+
+Extraction collapses detours as it goes: a step whose conclusion is an
+instance of an axiom scheme becomes that axiom's leaf, and a conclusion
+derived twice in one extraction keeps its smaller derivation. So the
+certificate is a proof of the formula, often a single leaf, and not the
+combinator image of the lambda witness. `mp` itself keeps every step it is
+given. The translation of a derivation back to a lambda term, which only
+the lemma checks use, is `compact.comb_to_lambda`."""
 from __future__ import annotations
 
 from typing import Any
@@ -136,7 +143,9 @@ def check_derivation(d: CombDerivation) -> Formula:
 
 
 def mp(left: CombDerivation, right: CombDerivation) -> MP:
-    """Modus ponens with the result type computed from the annotations."""
+    """Modus ponens with the result type computed from the annotations. It
+    builds the step as given, even when its conclusion is an axiom
+    instance."""
     lt = _root_type(left)
     rt = _root_type(right)
     if not (isinstance(lt, Imp) and lt.antecedent == rt):
@@ -164,15 +173,40 @@ def axiom_w(phi: Formula, chi: Formula) -> Axiom:
     return Axiom("W", Imp(Imp(phi, Imp(phi, chi)), Imp(phi, chi)))
 
 
-def extend_derivation(d: CombDerivation, prefix: list[Formula]) -> CombDerivation:
+Built = dict[Formula, tuple[MP, int]]
+
+
+def _step(left: CombDerivation, right: CombDerivation, built: Built) -> CombDerivation:
+    """One modus ponens step of extraction, returned as the smallest
+    derivation known for its conclusion: the axiom leaf when the conclusion
+    is an instance of B, B', I or W (tried in `AXIOM_KINDS` order, since
+    some types fit both B and B'), else the derivation of it that this
+    extraction has already built when that has no more nodes, else the new
+    step, built through `mp` from the smallest known derivations of its
+    premises. `built` maps each conclusion reached by a step to its
+    smallest derivation and that derivation's node count; it belongs to one
+    `extract_combinator` call."""
+    left, n = built.get(_root_type(left), (left, 1))
+    right, m = built.get(_root_type(right), (right, 1))
+    d = mp(left, right)
+    conclusion = d.result_type
+    for kind in AXIOM_KINDS:
+        if _axiom_instance_ok(kind, conclusion):
+            return Axiom(kind, conclusion)
+    known = built.get(conclusion)
+    if known is not None and known[1] <= n + m + 1:
+        return known[0]
+    built[conclusion] = d, n + m + 1
+    return d
+
+
+def _extend(d: CombDerivation, prefix: list[Formula], built: Built) -> CombDerivation:
     """From a derivation of chi->psi, derive (prefix->chi)->(prefix->psi)
     by left-applications of B, one per prefix element."""
     t = _root_type(d)
-    if not isinstance(t, Imp):
-        raise PreconditionViolated("extend_derivation needs an arrow-typed derivation")
     for head in reversed(prefix):
-        d = mp(axiom_b(t.antecedent, t.consequent, head), d)
-        t = d.result_type
+        d = _step(axiom_b(t.antecedent, t.consequent, head), d, built)
+        t = _root_type(d)
     return d
 
 
@@ -182,6 +216,7 @@ def _combine(
     i: tuple[int, ...],
     j: tuple[int, ...],
     omega: dict[int, Formula],
+    built: Built,
 ) -> CombDerivation:
     """Combine d1: w_i1..w_in -> (chi->psi) and d2: w_j1..w_jm -> chi into a
     derivation of w_k1..w_kp -> psi. Here i and j are increasing ranks, k
@@ -190,10 +225,10 @@ def _combine(
 
     The recursion uses B to push the combination under shared antecedents,
     B' to swap the two streams, and W to contract when the top antecedents
-    coincide. Every new step is built through `mp`, which checks that the
-    types fit."""
+    coincide. Every step goes through `_step`, which checks that the types
+    fit."""
     if not j:
-        return mp(d1, d2)
+        return _step(d1, d2, built)
     target = _root_type(d1)
     for _ in i:
         target = target.consequent
@@ -201,18 +236,18 @@ def _combine(
     w = omega[j[-1]]
     # n == 0 or i_n <= j_(m-1): push the combination under w with B
     if not i or (len(j) > 1 and i[-1] <= j[-2]):
-        lifted = extend_derivation(axiom_b(chi, psi, w), [omega[p] for p in i])
-        return _combine(mp(lifted, d1), d2, i, j[:-1], omega)
+        lifted = _extend(axiom_b(chi, psi, w), [omega[p] for p in i], built)
+        return _combine(_step(lifted, d1, built), d2, i, j[:-1], omega, built)
     # otherwise swap the two streams with B', then contract with W if
     # j_m = i_n
-    lifted = extend_derivation(axiom_b_prime(w, chi, psi), [omega[p] for p in j[:-1]])
-    swapped = _combine(mp(lifted, d2), d1, j[:-1], i, omega)
+    lifted = _extend(axiom_b_prime(w, chi, psi), [omega[p] for p in j[:-1]], built)
+    swapped = _combine(_step(lifted, d2, built), d1, j[:-1], i, omega, built)
     if j[-1] > i[-1]:
         return swapped
     # swapped proves w_k1..w_k(p-1) -> (w -> (w -> psi))
     shared = sorted(set(i + j))
-    contraction = extend_derivation(axiom_w(w, psi), [omega[p] for p in shared[:-1]])
-    return mp(contraction, swapped)
+    contraction = _extend(axiom_w(w, psi), [omega[p] for p in shared[:-1]], built)
+    return _step(contraction, swapped, built)
 
 
 def extract_combinator(m: Term, phi: Formula) -> CombDerivation:
@@ -223,10 +258,16 @@ def extract_combinator(m: Term, phi: Formula) -> CombDerivation:
     abstraction yields its body's derivation, which already has the arrow
     shape, and drops its binder, the greatest rank; an application merges
     its sides' free variables and joins their derivations with `_combine`.
+
+    Every modus ponens step goes through `_step`, so no step keeps a
+    detour: a conclusion that is an axiom instance is that axiom's leaf,
+    and a conclusion derived twice shares its smallest derivation. The
+    certificate is therefore a proof of phi, not the combinator image of m.
     The finished certificate is checked again, and its conclusion compared
     with phi."""
     if not is_nf_inhabitant(m, phi):
         raise PreconditionViolated("extract_combinator needs a normal inhabitant")
+    built: Built = {}
 
     def extract(t: Term) -> tuple[CombDerivation, dict[int, Formula]]:
         if isinstance(t, Var):
@@ -238,7 +279,7 @@ def extract_combinator(m: Term, phi: Formula) -> CombDerivation:
         d1, free1 = extract(t.fn)
         d2, free2 = extract(t.arg)
         omega = dict(sorted({**free1, **free2}.items()))
-        return _combine(d1, d2, tuple(free1), tuple(free2), omega), omega
+        return _combine(d1, d2, tuple(free1), tuple(free2), omega, built), omega
 
     d = extract(m)[0]
     result = check_derivation(d)

@@ -299,9 +299,16 @@ def refute(phi: Formula) -> Decision | None:
     return Decision("Empty", None, None, {"engine": "countermodel", "matrices_tried": tried}, cm)
 
 
-def _decide_shadow(phi: Formula, deadline: float) -> Decision:
+def _decide_shadow(phi: Formula, deadline: float, reached: dict[str, Any]) -> Decision:
+    """The shadow engine's verdict. If the deadline stops the search, the
+    count of nodes it expanded is left in `reached` for the timeout's
+    stats."""
     solver = _Solver(phi, deadline)
-    witnesses = solver.solve()
+    try:
+        witnesses = solver.solve()
+    except TimeoutError:
+        reached["expanded"] = solver.expanded
+        raise
     stats: dict[str, Any] = {
         "engine": "shadow",
         "expanded": solver.expanded,
@@ -328,17 +335,19 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
     A ResourceExhausted verdict names in its stats the `step` that gave up
     (countermodel, bounded or shadow) and what stopped it, `exhausted_by`:
     `time` when `config.time_budget` ran out (then `time_budget_hit` is
-    set too), `max_oracle_nodes` when the oracle found no witness within its
-    bound, and `max_shadow_nodes` or `label_candidates` when that limit
-    left the shadow search incomplete or inexact (the first, if both)."""
+    set too, and a shadow step keeps the count of nodes it `expanded`),
+    `max_oracle_nodes` when the oracle found no witness within its bound,
+    and `max_shadow_nodes` or `label_candidates` when that limit left the
+    shadow search incomplete or inexact (the first, if both)."""
     t0 = time.monotonic()
     deadline = math.inf if config.time_budget is None else t0 + config.time_budget
     step = config.engine
+    reached: dict[str, Any] = {}
     try:
         if config.engine == "bounded":
             out = _decide_bounded(phi, deadline)
         elif config.engine == "shadow":
-            out = _decide_shadow(phi, deadline)
+            out = _decide_shadow(phi, deadline, reached)
         else:
             step = "countermodel"
             out = refute(phi)
@@ -350,8 +359,9 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
                 out = _decide_bounded(phi, deadline)
                 if out.verdict != "Inhabited":
                     step = "shadow"
-                    out = _decide_shadow(phi, deadline)
+                    out = _decide_shadow(phi, deadline, reached)
     except TimeoutError:
-        out = _exhausted({"engine": config.engine, "time_budget_hit": True}, step, "time")
+        stats = {"engine": config.engine, "time_budget_hit": True, **reached}
+        out = _exhausted(stats, step, "time")
     out.stats["wall_time"] = time.monotonic() - t0
     return out

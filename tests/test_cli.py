@@ -276,6 +276,19 @@ def test_time_budget_stops_the_search(capsys):
     assert (payload["stats"]["step"], payload["stats"]["exhausted_by"]) == ("shadow", "time")
 
 
+def test_timeout_keeps_the_shadow_count(capsys):
+    # a theorem of bench/data/excluded.txt that the shadow engine does not
+    # finish within 0.2 s: the timed-out verdict keeps the nodes it expanded
+    phi = "(((b->b)->b->b)->b)->(b->b)->b"
+    code, out, _ = run(
+        capsys, "decide", phi, "--engine", "shadow", "--time-budget", "0.2", "--json"
+    )
+    assert code == 3
+    stats = json.loads(out)["stats"]
+    assert (stats["step"], stats["exhausted_by"], stats["time_budget_hit"]) == ("shadow", "time", True)
+    assert stats["expanded"] > 0
+
+
 def test_corpus_budget_holds_on_many_free_variables(tmp_path):
     # a shadow node with 22 free variables has 2^22 function sides, so the
     # budget holds only if the deadline is checked per side; the hard
@@ -390,6 +403,29 @@ def test_check_wrong_formula(capsys, tmp_path):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(cert))
     code, _, err = run(capsys, "check", str(path), "b->b")
+    assert code == 1
+    assert "invalid" in err
+
+
+@pytest.mark.parametrize(
+    "kind, phi, wrong",
+    [
+        ("B", "(x->y)->(p->x)->p->y", "I"),
+        ("B'", "(p->x)->(x->y)->p->y", "W"),
+        ("I", "a->a", "B"),
+        ("W", "(p->p->x)->p->x", "B'"),
+    ],
+)
+def test_axiom_theorem_has_a_one_leaf_certificate(capsys, tmp_path, kind, phi, wrong):
+    _, out, _ = run(capsys, "decide", phi, "--json")
+    cert = json.loads(out)["witness_combinator"]
+    assert cert == {"kind": kind, "type": phi}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert run(capsys, "check", str(path), phi)[0] == 0
+    # the same type under a scheme it does not fit
+    path.write_text(json.dumps({"kind": wrong, "type": phi}))
+    code, _, err = run(capsys, "check", str(path), phi)
     assert code == 1
     assert "invalid" in err
 

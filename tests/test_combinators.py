@@ -1,10 +1,13 @@
 import json
+import pathlib
 import random
 
 import pytest
 
 from ticket import combinators
 from ticket.combinators import (
+    AXIOM_KINDS,
+    MP,
     Axiom,
     BadModusPonens,
     CertificateFormatError,
@@ -20,6 +23,7 @@ from ticket.combinators import (
 )
 from ticket.compact import comb_to_lambda
 from ticket.formula import Atom, Imp, parse_formula
+from ticket.shadow import decide
 from ticket.terms import (
     App,
     Lam,
@@ -34,7 +38,7 @@ from ticket.terms import (
     type_of,
 )
 
-from conftest import SEED, random_derivation
+from conftest import SEED, formula_corpus, random_derivation
 
 a = Atom("a")
 b = Atom("b")
@@ -132,6 +136,50 @@ def test_extract_combinator_checks_once(monkeypatch):
     d = extract_combinator(m, phi)
     assert len(calls) == 1
     assert check_derivation(d) == phi
+
+
+def _sizes(d, by_conclusion):
+    # tree size of d; the size of every sub-derivation is added to the set
+    # kept for its conclusion
+    if isinstance(d, Axiom):
+        size = 1
+    else:
+        size = _sizes(d.left, by_conclusion) + _sizes(d.right, by_conclusion) + 1
+    conclusion = d.instantiated_type if isinstance(d, Axiom) else d.result_type
+    by_conclusion.setdefault(conclusion, set()).add(size)
+    return size
+
+
+PROVE = pathlib.Path(__file__).parent.parent / "bench" / "data" / "prove.txt"
+
+
+def test_certificates_have_no_detour(closed_terms):
+    # no mp step concludes an axiom instance, and the sub-derivations of one
+    # certificate that share a conclusion share its size
+    cases = [(extract_combinator(m, phi), phi) for m, phi in closed_terms]
+    sample = [parse_formula(line.split("\t")[0]) for line in PROVE.read_text().splitlines()[::4]]
+    for phi in formula_corpus() + sample:
+        d = decide(phi).witness_combinator
+        if d is not None:
+            cases.append((d, phi))
+    assert len(cases) > 100
+    for d, phi in cases:
+        assert check_derivation(d) == phi
+        by_conclusion = {}
+        _sizes(d, by_conclusion)
+        for conclusion, sizes in by_conclusion.items():
+            assert len(sizes) == 1
+            if any(combinators._axiom_instance_ok(k, conclusion) for k in AXIOM_KINDS):
+                assert sizes == {1}
+
+
+def test_mp_keeps_every_step():
+    # mp builds what it is given, though a->a is an axiom instance: the
+    # checker's tests rely on it for deep derivations
+    d = mp(mp(axiom_b(a, a, a), axiom_i(a)), axiom_i(a))
+    assert isinstance(d, MP) and isinstance(d.left, MP)
+    assert _sizes(d, {}) == 5
+    assert check_derivation(d) == Imp(a, a)
 
 
 def test_json_roundtrip():
