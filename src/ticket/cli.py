@@ -79,6 +79,9 @@ _VERDICT_EXIT = {
     "ResourceExhausted": EXIT_EXHAUSTED,
 }
 
+# `decide --json` encodes through one encoder, not a new one per call
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def _decision_payload(phi, d: Decision) -> dict:
     stats = {k: v for k, v in d.stats.items() if k != "wall_time"}
@@ -120,7 +123,7 @@ def cmd_decide(args) -> int:
     d = decide(phi, DecideConfig(engine=args.engine, time_budget=args.time_budget))
     if args.json:
         payload = _decision_payload(phi, d)
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.write(_JSON.encode(payload) + "\n")
     else:
         _print_decision_text(phi, d)
     if args.trace:

@@ -4,8 +4,15 @@ Ground truth for cross-validation: a bottom-up dynamic program over term
 size. Only the order type of ranks matters for HRM and typing, so every term
 is built canonical (`ticket.terms`): a variable is rank 1, an abstraction
 binds the greatest free rank, and an application splits its free ranks
-with `free_splits` and places both sides with `place_canonical`. No term is
-built twice, and a term's free types come from its construction.
+with `free_splits` and places both sides with `place_canonical`.
+
+The levels hold states: tuples of a term's type, its free types and how it
+is built, `(tau, (tau,))` for the variable of type tau, `(type, free,
+body)` for an abstraction over the state `body` and `(type, free, fn, arg,
+pos1, pos2, r)` for an application, whose sides' free ranks go to pos1 and
+pos2 among its r (a `_splits` entry). No state is built twice. `_term`
+builds a state's term, and `_hits` calls it only on the closed states of
+type phi.
 
 Only terms that can still close within the node bound are built. Merges
 place free ranks injectively, so a term of s nodes with p free variables
@@ -33,23 +40,10 @@ import time
 from typing import Iterator
 
 from .formula import Formula, Imp, sorted_subformulas
-from .record import Record, slot_setters
 from .terms import App, Lam, Term, Var, VarRef, free_splits, place_canonical, print_term
 
 # The node bound of the oracle inside `decide`, which reads it at each call.
 MAX_ORACLE_NODES = 10
-
-
-class _State(Record):
-    __slots__ = ("term", "term_type", "free_types")
-
-    def __init__(self, term: Term, term_type: Formula, free_types: tuple[Formula, ...]) -> None:
-        _set_term(self, term)
-        _set_term_type(self, term_type)
-        _set_free_types(self, free_types)
-
-
-_set_term, _set_term_type, _set_free_types = slot_setters(_State)
 
 
 @functools.cache
@@ -84,39 +78,35 @@ def _signed_subformulas(phi: Formula) -> tuple[frozenset[Formula], frozenset[For
 
 
 def _levels(
-    phi: Formula, max_nodes: int, deadline: float = math.inf, polarity: bool = True
-) -> Iterator[tuple[int, list[_State]]]:
+    phi: Formula, max_nodes: int, deadline: float = math.inf, polarity: bool = True, by_size=None
+) -> Iterator[tuple[int, list[tuple]]]:
     """Yield `(size, states)` for sizes 1..max_nodes, each level as soon as it
-    is built. Above size 1, a term of `size` nodes with p free variables is
-    built only if size + p <= max_nodes, and with `polarity` only terms
-    whose types have the right polarity (see the module docstring) are
-    built; without it, every normal HRM term over phi's subformulas is. Each
-    level is also grouped by type, so an application pairs a function only
-    with the arguments of its antecedent type. Raises TimeoutError once
-    `time.monotonic()` passes `deadline`."""
+    is built, into `by_size` if given. Above size 1, a term of `size` nodes
+    with p free variables is built only if size + p <= max_nodes, and with
+    `polarity` only terms whose types have the right polarity (see the module
+    docstring) are built; without it, every normal HRM term over phi's
+    subformulas is. Each level is also grouped by type, so an application
+    pairs a function only with the arguments of its antecedent type. Raises
+    TimeoutError once `time.monotonic()` passes `deadline`."""
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
     ordered = sorted_subformulas(phi)
-    if polarity:
-        positive, negative = _signed_subformulas(phi)
-    else:
-        positive = negative = frozenset(ordered)
+    positive, negative = _signed_subformulas(phi) if polarity else (frozenset(ordered),) * 2
     # the types a term may have: positive, or an arrow for function position
     kept = positive | {f for f in negative if f.__class__ is Imp}
     # the types an abstraction may have, by antecedent and consequent
     lam_types = {(f.antecedent, f.consequent): f for f in positive if f.__class__ is Imp}
-    by_size: dict[int, list[_State]] = {}
-    by_type: dict[int, dict[Formula, list[_State]]] = {}
+    by_size = {} if by_size is None else by_size
+    by_type: dict[int, dict[Formula, list[tuple]]] = {}
 
-    def add(size: int, term: Term, term_type: Formula, free_types: tuple[Formula, ...]) -> None:
-        st = _State(term, term_type, free_types)
-        by_size[size].append(st)
-        by_type[size].setdefault(term_type, []).append(st)
+    def add(size: int, state: tuple) -> None:
+        by_size[size].append(state)
+        by_type[size].setdefault(state[0], []).append(state)
 
     by_size[1], by_type[1] = [], {}
     for tau in ordered:
         if tau in negative and tau in kept:
-            add(1, Var(VarRef(1, tau)), tau, (tau,))
+            add(1, (tau, (tau,)))
     yield 1, by_size[1]
 
     for size in range(2, max_nodes + 1):
@@ -126,45 +116,49 @@ def _levels(
         for st in by_size[size - 1]:
             if time.monotonic() > deadline:
                 raise TimeoutError
-            if st.free_types:
-                lam_type = lam_types.get((st.free_types[-1], st.term_type))
+            if st[1]:
+                lam_type = lam_types.get((st[1][-1], st[0]))
                 if lam_type is not None:
-                    binder = VarRef(len(st.free_types), st.free_types[-1])
-                    add(size, Lam(binder, st.term), lam_type, st.free_types[:-1])
-        # applications; the result has r free variables
+                    add(size, (lam_type, st[1][:-1], st))
+        # applications of non-abstractions; the result has r free variables
         for s1 in range(1, size - 1):
             s2 = size - 1 - s1
             for st1 in by_size[s1]:
-                if (
-                    isinstance(st1.term, Lam)
-                    or not isinstance(st1.term_type, Imp)
-                    or st1.term_type.consequent not in kept
-                ):
+                fn_type, free1 = st1[0], st1[1]
+                if len(st1) == 3 or fn_type.__class__ is not Imp or fn_type.consequent not in kept:
                     continue
                 # one function can meet thousands of arguments, so the
                 # deadline is checked per pair
-                for st2 in by_type[s2].get(st1.term_type.antecedent, ()):
+                for st2 in by_type[s2].get(fn_type.antecedent, ()):
                     if time.monotonic() > deadline:
                         raise TimeoutError
-                    p, q = len(st1.free_types), len(st2.free_types)
-                    ab = st1.free_types + st2.free_types
+                    p, q = len(free1), len(st2[1])
+                    ab = free1 + st2[1]
                     for r in range(max(p, q), min(p + q, max_nodes - size) + 1):
                         for pos1, pos2, pick, shared in _splits(p, q, r):
                             if any(ab[i] != ab[j] for i, j in shared):
                                 continue
-                            left, top = place_canonical(st1.term, pos1, r)
-                            right, _ = place_canonical(st2.term, pos2, top)
                             merged = tuple([ab[k] for k in pick])
-                            add(size, App(left, right), st1.term_type.consequent, merged)
+                            add(size, (fn_type.consequent, merged, st1, st2, pos1, pos2, r))
         yield size, by_size[size]
 
 
-def _hits(phi: Formula, states: list[_State]) -> list[Term]:
-    """The closed terms of type phi among one level's states, by print."""
-    return sorted(
-        (st.term for st in states if not st.free_types and st.term_type == phi),
-        key=print_term,
-    )
+def _term(state: tuple) -> Term:
+    """The canonical term of a state of `_levels`."""
+    if len(state) == 2:
+        return Var(VarRef(1, state[0]))
+    if len(state) == 3:
+        free = state[2][1]
+        return Lam(VarRef(len(free), free[-1]), _term(state[2]))
+    _, _, fn, arg, pos1, pos2, r = state
+    left, top = place_canonical(_term(fn), pos1, r)
+    right, _ = place_canonical(_term(arg), pos2, top)
+    return App(left, right)
+
+
+def _hits(phi: Formula, states: list[tuple]) -> list[Term]:
+    """The terms of one level's closed states of type phi, by print."""
+    return sorted((_term(st) for st in states if not st[1] and st[0] == phi), key=print_term)
 
 
 def enumerate_inhabitants(phi: Formula, max_nodes: int = MAX_ORACLE_NODES) -> list[Term]:
@@ -174,14 +168,19 @@ def enumerate_inhabitants(phi: Formula, max_nodes: int = MAX_ORACLE_NODES) -> li
 
 
 def bounded_decide(
-    phi: Formula, max_nodes: int = MAX_ORACLE_NODES, deadline: float = math.inf
+    phi: Formula, max_nodes: int = MAX_ORACLE_NODES, deadline: float = math.inf, reached=None
 ) -> Term | None:
     """Semi-decision: the smallest witness of at most max_nodes nodes, or
     None. Never claims emptiness. Stops at the first size that has an
     inhabitant and builds no larger term. Raises TimeoutError once
-    `time.monotonic()` passes `deadline`."""
-    for _, states in _levels(phi, max_nodes, deadline):
-        hits = _hits(phi, states)
-        if hits:
-            return hits[0]
-    return None
+    `time.monotonic()` passes `deadline`. Sets `reached["terms"]`, if
+    `reached` is a dict, to the number of states built, at a timeout too."""
+    by_size: dict[int, list[tuple]] = {}
+    try:
+        for _, states in _levels(phi, max_nodes, deadline, by_size=by_size):
+            if hits := _hits(phi, states):
+                return hits[0]
+        return None
+    finally:
+        if reached is not None:
+            reached["terms"] = sum(map(len, by_size.values()))

@@ -280,9 +280,11 @@ def _exhausted(stats: dict[str, Any], step: str, exhausted_by: str) -> Decision:
     return Decision("ResourceExhausted", None, None, stats)
 
 
-def _decide_bounded(phi: Formula, deadline: float) -> Decision:
-    witness = bounded_decide(phi, oracle.MAX_ORACLE_NODES, deadline)
-    stats: dict[str, Any] = {"engine": "bounded"}
+def _decide_bounded(phi: Formula, deadline: float, reached: dict[str, Any]) -> Decision:
+    """The oracle's verdict. The count of states it built is left in
+    `reached`, for its own stats, a later step's and a timeout's."""
+    witness = bounded_decide(phi, oracle.MAX_ORACLE_NODES, deadline, reached)
+    stats: dict[str, Any] = {"engine": "bounded", **reached}
     if witness is not None:
         return _inhabited(witness, phi, stats)
     return _exhausted(stats, "bounded", "max_oracle_nodes")
@@ -300,9 +302,9 @@ def refute(phi: Formula) -> Decision | None:
 
 
 def _decide_shadow(phi: Formula, deadline: float, reached: dict[str, Any]) -> Decision:
-    """The shadow engine's verdict. If the deadline stops the search, the
-    count of nodes it expanded is left in `reached` for the timeout's
-    stats."""
+    """The shadow engine's verdict, its stats starting from the counts in
+    `reached`. If the deadline stops the search, the count of nodes it
+    expanded is left in `reached` for the timeout's stats."""
     solver = _Solver(phi, deadline)
     try:
         witnesses = solver.solve()
@@ -311,6 +313,7 @@ def _decide_shadow(phi: Formula, deadline: float, reached: dict[str, Any]) -> De
         raise
     stats: dict[str, Any] = {
         "engine": "shadow",
+        **reached,
         "expanded": solver.expanded,
         "witnesses": len(witnesses),
         "closure_complete": solver.complete,
@@ -330,12 +333,15 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
     with no limit tripped. `auto` runs the countermodel search, then the
     bounded oracle, then the shadow engine, and stops at the first verdict;
     no formula has both a countermodel and a witness, so the order changes
-    no verdict. `shadow` runs the shadow engine alone.
+    no verdict. `shadow` runs the shadow engine alone. A decision for
+    which the oracle ran carries `terms` in its stats, the number of states
+    the oracle built.
 
     A ResourceExhausted verdict names in its stats the `step` that gave up
     (countermodel, bounded or shadow) and what stopped it, `exhausted_by`:
     `time` when `config.time_budget` ran out (then `time_budget_hit` is
-    set too, and a shadow step keeps the count of nodes it `expanded`),
+    set too, and the counts reached stay: the oracle's `terms`, and the
+    nodes a shadow step `expanded`),
     `max_oracle_nodes` when the oracle found no witness within its bound,
     and `max_shadow_nodes` or `label_candidates` when that limit left the
     shadow search incomplete or inexact (the first, if both)."""
@@ -345,7 +351,7 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
     reached: dict[str, Any] = {}
     try:
         if config.engine == "bounded":
-            out = _decide_bounded(phi, deadline)
+            out = _decide_bounded(phi, deadline, reached)
         elif config.engine == "shadow":
             out = _decide_shadow(phi, deadline, reached)
         else:
@@ -356,7 +362,7 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
                 if time.monotonic() > deadline:
                     raise TimeoutError
                 step = "bounded"
-                out = _decide_bounded(phi, deadline)
+                out = _decide_bounded(phi, deadline, reached)
                 if out.verdict != "Inhabited":
                     step = "shadow"
                     out = _decide_shadow(phi, deadline, reached)

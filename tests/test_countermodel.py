@@ -97,10 +97,12 @@ def test_countermodel_matches_naive_evaluation():
     # the sweep lays its bits out by atom count, so every count is covered
     rng = random.Random(SEED)
     formulas = formula_corpus() + [_random_formula(rng, rng.randint(1, 8)) for _ in range(300)]
-    formulas += [_formula_over(rng, "abcdef"[:n]) for n in (4, 5, 6) for _ in range(20)]
-    seven = _formula_over(rng, "abcdefg")
-    assert countermodel(seven) is None
-    for phi in formulas + [seven]:
+    formulas += [_formula_over(rng, "abcdefgh"[:n]) for n in (4, 5, 6, 7, 8) for _ in range(20)]
+    # 7 and 8 atoms: non-theorems, so the naive search stops at a countermodel
+    assert all(countermodel(phi) for phi in formulas[-40:])
+    nine = _formula_over(rng, "abcdefghi")
+    assert countermodel(nine) is None
+    for phi in formulas + [nine]:
         assert countermodel(phi) == _naive_countermodel(phi), print_formula(phi)
 
 
@@ -168,7 +170,7 @@ def test_check_rejects_another_formula():
 
 
 def test_too_many_atoms_are_not_searched():
-    names = [Atom(n) for n in "abcdefg"]
+    names = [Atom(n) for n in "abcdefghi"]
     phi = names[0]
     for atom in names[1:]:
         phi = Imp(atom, phi)

@@ -331,15 +331,15 @@ def test_deep_formula_hashes():
 def test_sorted_subformulas_holds_budgets_on_long_formulas():
     # sorting the subformulas of a 999-arrow chain printed each key from
     # scratch, quadratic in its length, before the first deadline check
-    # (0.7-1.0 s); over 6 atoms, auto skips the countermodel sweep. Each decision
-    # now overshoots its budget by milliseconds; the bound leaves room for a
-    # loaded machine. The decisions run in a child process, killed at the
-    # hard timeout.
+    # (0.7-1.0 s); over 9 atoms, more than `countermodel.MAX_ATOMS`, auto
+    # skips the countermodel sweep. Each decision now overshoots its budget
+    # by milliseconds; the bound leaves room for a loaded machine. The
+    # decisions run in a child process, killed at the hard timeout.
     code = (
         "import json, time\n"
         "from ticket.formula import parse_formula\n"
         "from ticket.shadow import DecideConfig, decide\n"
-        "phi = parse_formula('->'.join('abcdefg'[i % 7] for i in range(1000)))\n"
+        "phi = parse_formula('->'.join('abcdefghi'[i % 9] for i in range(1000)))\n"
         "out = []\n"
         "for engine in ('auto', 'shadow', 'bounded'):\n"
         "    t0 = time.monotonic()\n"

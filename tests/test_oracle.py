@@ -4,7 +4,7 @@ import pytest
 
 from ticket import oracle
 from ticket.formula import parse_formula, print_formula
-from ticket.oracle import _levels, bounded_decide, enumerate_inhabitants
+from ticket.oracle import _levels, _term, bounded_decide, enumerate_inhabitants
 from ticket.terms import alpha_canonical, free_vars, is_nf_inhabitant, node_count, print_term, type_of
 
 from conftest import formula_corpus
@@ -47,25 +47,48 @@ def test_bound_validation():
         bounded_decide(parse_formula("a->a"), 0)
 
 
-def test_bounded_decide_stops_at_first_inhabited_size(monkeypatch):
+def test_bounded_decide_stops_at_first_inhabited_size():
     phi = parse_formula("((b->a)->b->a)->(b->a)->b->a")
     bound = 10
-    calls = []
-    real = oracle._State
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(oracle, "_State", counting)
-    res = bounded_decide(phi, bound)
-    decided = len(calls)
+    reached = {}
+    res = bounded_decide(phi, bound, reached=reached)
     hits = enumerate_inhabitants(phi, bound)
-    enumerated = len(calls) - decided
     assert res is not None
     assert res == hits[0]
     assert node_count(res) == 2
-    assert decided < enumerated
+    # the states of sizes 1 and 2 are built, not those of larger sizes
+    counts = [len(states) for _, states in _levels(phi, bound)]
+    assert reached["terms"] == counts[0] + counts[1] < sum(counts)
+
+
+def test_bounded_decide_builds_terms_only_for_its_last_level_hits(monkeypatch):
+    # the levels hold states; a term is built only for a closed state of
+    # type phi of the level the search stops at
+    calls = []
+    depth = [0]
+
+    def counting(state):
+        if not depth[0]:
+            calls.append(state)
+        depth[0] += 1
+        try:
+            return term(state)
+        finally:
+            depth[0] -= 1
+
+    term = oracle._term
+    monkeypatch.setattr(oracle, "_term", counting)
+    # (formula, the size the search stops at, its number of hits); a->b->a
+    # has no witness, so the search runs to the bound
+    cases = [("(a->a->b)->a->b", 7, 1), ("(x->y)->((p->x)->(p->y))", 8, 1), ("a->b->a", 10, 0)]
+    for text, size, n in cases:
+        phi = parse_formula(text)
+        calls.clear()
+        res = bounded_decide(phi)
+        last = dict(_levels(phi, oracle.MAX_ORACLE_NODES))[size]
+        assert calls == [st for st in last if not st[1] and st[0] == phi]
+        assert len(calls) == n
+        assert res == (enumerate_inhabitants(phi)[0] if n else None)
 
 
 def test_levels_build_each_term_once_and_canonical():
@@ -75,11 +98,12 @@ def test_levels_build_each_term_once_and_canonical():
         seen = set()
         for _, states in _levels(phi, 9):
             for st in states:
-                assert alpha_canonical(st.term) == st.term
-                assert type_of(st.term) == st.term_type
-                assert tuple(v.var_type for v in free_vars(st.term)) == st.free_types
-                assert st.term not in seen
-                seen.add(st.term)
+                m = _term(st)
+                assert alpha_canonical(m) == m
+                assert type_of(m) == st[0]
+                assert tuple(v.var_type for v in free_vars(m)) == st[1]
+                assert m not in seen
+                seen.add(m)
 
 
 def test_pruning_loses_no_closed_term():
@@ -90,7 +114,7 @@ def test_pruning_loses_no_closed_term():
     for phi in formula_corpus():
         reference = []
         for size, states in _levels(phi, 2 * n, polarity=False):
-            closed = [st.term for st in states if not st.free_types and st.term_type == phi]
+            closed = [_term(st) for st in states if not st[1] and st[0] == phi]
             reference.extend(sorted(closed, key=print_term))
             if size == n:
                 break
@@ -143,7 +167,7 @@ def test_polarity_pruning_builds_fewer_terms():
     # the pruned levels are a strict part of the full ones; that they keep
     # every closed term is test_pruning_loses_no_closed_term
     phi = parse_formula("((b->a)->b->a)->(b->a)->b->a")
-    pruned = [st.term for _, states in _levels(phi, 7) for st in states]
-    every = [st.term for _, states in _levels(phi, 7, polarity=False) for st in states]
+    pruned = [_term(st) for _, states in _levels(phi, 7) for st in states]
+    every = [_term(st) for _, states in _levels(phi, 7, polarity=False) for st in states]
     assert set(pruned) < set(every)
     assert (len(pruned), len(every)) == (len(set(pruned)), len(set(every)))

@@ -10,7 +10,6 @@ import pytest
 from ticket.combinators import MP, Axiom
 from ticket.countermodel import Countermodel
 from ticket.formula import Atom, Imp, parse_formula
-from ticket.oracle import _State
 from ticket.shadow import DecideConfig
 from ticket.terms import App, InvalidTerm, Lam, Var, VarRef
 
@@ -32,7 +31,6 @@ def _records():
         (MP, ("left", "right", "result_type"), (ax, ax, AA)),
         (Countermodel, ("table", "designated", "assignment"), ((0,) * 9, (1,), (("a", 0),))),
         (DecideConfig, ("engine", "time_budget"), ("shadow", 1.5)),
-        (_State, ("term", "term_type", "free_types"), (Var(ref), A, (A,))),
     ]
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -312,10 +313,38 @@ def _out_of_time(*args):
     raise TimeoutError
 
 
+def _late_time(late: int = 1) -> SimpleNamespace:
+    """A stand-in for the `time` module whose clock reads past every
+    deadline from its `late`-th read on."""
+    reads = []
+
+    def monotonic() -> float:
+        reads.append(None)
+        return math.inf if len(reads) >= late else 0.0
+
+    return SimpleNamespace(monotonic=monotonic)
+
+
+def test_timed_out_oracle_keeps_its_count(monkeypatch):
+    # by level, the oracle builds 5, 0, 2, 0, 2, 2, 1 and 1 states up to
+    # its 8-node witness. Stopped at its first deadline check, it has built
+    # the 5 variables of size 1; stopped at its seventh, those and one of
+    # the 2 states of size 3
+    phi = parse_formula("(x->y)->((p->x)->(p->y))")
+    assert decide(phi, DecideConfig("bounded")).stats["terms"] == 13
+    d = decide(phi, DecideConfig("bounded", 1e-9))
+    assert d.verdict == "ResourceExhausted"
+    assert (d.stats["step"], d.stats["exhausted_by"], d.stats["terms"]) == ("bounded", "time", 5)
+    monkeypatch.setattr(ticket.oracle, "time", _late_time(7))
+    d = decide(phi, DecideConfig("bounded", 60.0))
+    assert (d.stats["exhausted_by"], d.stats["terms"]) == ("time", 6)
+
+
 @pytest.mark.parametrize("step", ["countermodel", "bounded", "shadow"])
 def test_auto_timeout_names_the_step(monkeypatch, step):
     # the step's deadline check fires: the sweep, which reads no clock, is
-    # made to overrun the budget, and the searches to raise as at a check
+    # made to overrun the budget, the oracle to read a clock past every
+    # deadline, and the shadow search to raise as at a check
     if step == "countermodel":
         real = ticket.shadow.refute
 
@@ -326,15 +355,21 @@ def test_auto_timeout_names_the_step(monkeypatch, step):
 
         monkeypatch.setattr(ticket.shadow, "refute", slow_refute)
     elif step == "bounded":
-        monkeypatch.setattr(ticket.shadow, "bounded_decide", _out_of_time)
+        monkeypatch.setattr(ticket.oracle, "time", _late_time())
     else:
         monkeypatch.setattr(ticket.shadow._Solver, "solve", _out_of_time)
     # a non-theorem with no 3-valued countermodel and no witness, so the
     # auto engine reaches every step
     d = decide(parse_formula("((c->c)->c)->c"), DecideConfig(time_budget=0.01))
     assert d.verdict == "ResourceExhausted"
-    # a timed-out shadow step keeps its count, here of no expansion
-    reached = {"expanded": 0} if step == "shadow" else {}
+    # a timed-out step keeps the counts reached: the oracle's 2 variables of
+    # size 1 at its first deadline check, or all of its 3 states and no
+    # shadow expansion
+    reached = {
+        "countermodel": {},
+        "bounded": {"terms": 2},
+        "shadow": {"terms": 3, "expanded": 0},
+    }[step]
     assert d.stats == {
         "engine": "auto",
         "time_budget_hit": True,
