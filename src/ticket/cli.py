@@ -36,10 +36,13 @@ read as a verdict. Output to a closed pipe exits 4 too, with one
 
 The only settings are `--engine` and `--time-budget`; every other limit is a
 constant of the library. JSON output is deterministic: identical input and
-flags produce byte-identical bytes, with or without `--trace`. Wall-clock
-time is reported only by `--trace`, which prints every stat as a
-`  # key = value` line on stderr in both modes. The `countermodel` key is
-null or an object with sorted keys.
+flags produce byte-identical bytes, with or without `--trace`. Times (the
+wall time and each step's) are reported only by `--trace`, which prints
+every stat as a `  # key = value` line on stderr in both modes. The
+`countermodel` key is null or an object with sorted keys. `decide --json`
+writes its payload in one pass over it (`_encode`), the bytes that
+`json.dumps` with sorted keys and compact separators writes, without
+building an encoder per call.
 """
 from __future__ import annotations
 
@@ -47,6 +50,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .combinators import (
@@ -79,12 +83,47 @@ _VERDICT_EXIT = {
     "ResourceExhausted": EXIT_EXHAUSTED,
 }
 
-# `decide --json` encodes through one encoder, not a new one per call
-_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# the stats that hold times, which only --trace prints
+_TIMES = frozenset(["wall_time", "time_countermodel", "time_bounded", "time_shadow", "time_extract"])
+
+
+def _encode(value, out: list[str]) -> None:
+    """Append to `out` the JSON text of `value`, as `json.dumps(value,
+    sort_keys=True, separators=(",", ":"))` writes it, for the kinds a
+    payload holds: None, bool, int, str, list, and dict with str keys.
+    Raises TypeError on any other value."""
+    cls = value.__class__
+    if cls is str:
+        out.append(encode_basestring_ascii(value))
+    elif cls is dict:
+        sep = "{"
+        for key in sorted(value):
+            # raises TypeError unless the key is a str
+            out.append(sep + encode_basestring_ascii(key) + ":")
+            _encode(value[key], out)
+            sep = ","
+        out.append("}" if value else "{}")
+    elif cls is list:
+        sep = "["
+        for item in value:
+            out.append(sep)
+            _encode(item, out)
+            sep = ","
+        out.append("]" if value else "[]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif cls is int:
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 def _decision_payload(phi, d: Decision) -> dict:
-    stats = {k: v for k, v in d.stats.items() if k != "wall_time"}
+    stats = {k: v for k, v in d.stats.items() if k not in _TIMES}
     return {
         "formula": print_formula(phi),
         "verdict": d.verdict,
@@ -122,8 +161,10 @@ def cmd_decide(args) -> int:
         return EXIT_ERROR
     d = decide(phi, DecideConfig(engine=args.engine, time_budget=args.time_budget))
     if args.json:
-        payload = _decision_payload(phi, d)
-        sys.stdout.write(_JSON.encode(payload) + "\n")
+        out: list[str] = []
+        _encode(_decision_payload(phi, d), out)
+        out.append("\n")
+        sys.stdout.write("".join(out))
     else:
         _print_decision_text(phi, d)
     if args.trace:

@@ -193,6 +193,10 @@ def _leftmost_outermost_redex(m: Term, at: Address = ()) -> Address | None:
     return _leftmost_outermost_redex(m.arg, at + (2,))
 
 
+def is_normal(m: Term) -> bool:
+    return _leftmost_outermost_redex(m) is None
+
+
 def hrm_normalize(m: Term) -> Term:
     """Normalize a typed term, contracting the leftmost-outermost redex and
     renaming the redex body's bound variables above everything first so that

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .formula import Atom, Formula, parse_formula, print_formula
+from .formula import Atom, Formula, print_formula
 from .record import Record, slot_setters
 
 VALUES = (0, 1, 2)
@@ -146,25 +146,32 @@ def _values(table: tuple[int, ...], ops, columns) -> list[int]:
     return cols[-1]
 
 
-def _first_undesignated(table, designated, program: Program) -> int | None:
-    """The first assignment (a row of `_grid`) under which the program's
-    formula is undesignated, or None when the matrix validates it."""
-    atoms, ops = program
-    for row, value in enumerate(_values(table, ops, _grid(len(atoms)))):
-        if value not in designated:
-            return row
+def _unvalidated_axiom(table, designated) -> str | None:
+    """The first of I, W, B' and B that the matrix leaves undesignated under
+    some assignment of values to x, y and z, or None when it validates all
+    four. Entry 3u + v of the table is the value of u -> v."""
+    t = table
+    for x in VALUES:
+        if t[4 * x] not in designated:  # x->x
+            return "I"
+    for x in VALUES:
+        for y in VALUES:
+            xy = t[3 * x + y]
+            if t[3 * t[3 * x + xy] + xy] not in designated:  # (x->x->y)->x->y
+                return "W"
+    for x in VALUES:
+        for y in VALUES:
+            for z in VALUES:
+                # (x->y)->(y->z)->x->z
+                if t[3 * t[3 * x + y] + t[3 * t[3 * y + z] + t[3 * x + z]]] not in designated:
+                    return "B'"
+    for x in VALUES:
+        for y in VALUES:
+            for z in VALUES:
+                # (y->z)->(x->y)->x->z
+                if t[3 * t[3 * y + z] + t[3 * t[3 * x + y] + t[3 * x + z]]] not in designated:
+                    return "B"
     return None
-
-
-AXIOMS: tuple[tuple[str, Program], ...] = tuple(
-    (name, _program(parse_formula(text)))
-    for name, text in (
-        ("I", "x->x"),
-        ("W", "(x->x->y)->x->y"),
-        ("B'", "(x->y)->(y->z)->x->z"),
-        ("B", "(y->z)->(x->y)->x->z"),
-    )
-)
 
 
 def _mp_closed(table, designated) -> bool:
@@ -177,9 +184,7 @@ def _mp_closed(table, designated) -> bool:
 
 
 def _is_model(table, designated) -> bool:
-    return _mp_closed(table, designated) and all(
-        _first_undesignated(table, designated, axiom) is None for _, axiom in AXIOMS
-    )
+    return _mp_closed(table, designated) and _unvalidated_axiom(table, designated) is None
 
 
 def _permuted(table, designated, p) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -306,9 +311,9 @@ def check_countermodel(cm: Countermodel, phi: Formula) -> None:
         raise CountermodelError("the designated set must be nonempty and proper")
     if not _mp_closed(table, designated):
         raise CountermodelError("the designated set is not closed under modus ponens")
-    for name, axiom in AXIOMS:
-        if _first_undesignated(table, designated, axiom) is not None:
-            raise CountermodelError(f"the table does not validate {name}")
+    name = _unvalidated_axiom(table, designated)
+    if name is not None:
+        raise CountermodelError(f"the table does not validate {name}")
     atoms, ops = _program(phi)
     env = dict(cm.assignment)
     for name in atoms:

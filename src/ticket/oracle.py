@@ -10,9 +10,16 @@ The levels hold states: tuples of a term's type, its free types and how it
 is built, `(tau, (tau,))` for the variable of type tau, `(type, free,
 body)` for an abstraction over the state `body` and `(type, free, fn, arg,
 pos1, pos2, r)` for an application, whose sides' free ranks go to pos1 and
-pos2 among its r (a `_splits` entry). No state is built twice. `_term`
-builds a state's term, and `_hits` calls it only on the closed states of
-type phi.
+pos2 among its r (a `_splits` entry; those for up to three free ranks are
+built at import). No state is built twice. `_term` builds a state's term,
+and `_hits` calls it only on the closed states of type phi, sorted by
+print.
+
+Level 1 holds the variables in the order in which a depth-first walk from
+phi first meets their types (`_signed_subformulas`), so no subformula is
+printed to order it. Each larger level follows from the smaller ones in
+a fixed order, and `_hits` sorts what it returns, so witnesses and the
+order of `enumerate_inhabitants` do not depend on the order of a level.
 
 Only terms that can still close within the node bound are built. Merges
 place free ranks injectively, so a term of s nodes with p free variables
@@ -39,11 +46,13 @@ import math
 import time
 from typing import Iterator
 
-from .formula import Formula, Imp, sorted_subformulas
+from .formula import Formula, Imp
 from .terms import App, Lam, Term, Var, VarRef, free_splits, place_canonical, print_term
 
 # The node bound of the oracle inside `decide`, which reads it at each call.
 MAX_ORACLE_NODES = 10
+# The `_splits` tables for up to this many free ranks are built at import.
+_PREBUILT_RANKS = 3
 
 
 @functools.cache
@@ -62,19 +71,33 @@ def _splits(p: int, q: int, r: int) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def _signed_subformulas(phi: Formula) -> tuple[frozenset[Formula], frozenset[Formula]]:
-    """The subformulas with a positive occurrence in phi, and those with a
-    negative one. phi is positive; an arrow's consequent has the arrow's
-    sign and its antecedent the other sign."""
+# Built at import: the applications of small witnesses use only these, and
+# a process forked after the import finds them built. Larger tables are
+# built on first use.
+for _r in range(_PREBUILT_RANKS + 1):
+    for _p in range(_r + 1):
+        for _q in range(_r + 1):
+            _splits(_p, _q, _r)
+
+
+def _signed_subformulas(
+    phi: Formula,
+) -> tuple[list[Formula], frozenset[Formula], frozenset[Formula]]:
+    """The subformulas of phi in the order in which a depth-first walk from
+    phi first meets them, those with a positive occurrence in phi, and those
+    with a negative one. phi is positive; an arrow's consequent has the
+    arrow's sign and its antecedent the other sign."""
     signed: tuple[set[Formula], set[Formula]] = (set(), set())
+    met: dict[Formula, None] = {}
     stack = [(phi, 0)]
     while stack:
         f, sign = stack.pop()
         if f not in signed[sign]:
             signed[sign].add(f)
+            met[f] = None
             if f.__class__ is Imp:
                 stack += ((f.antecedent, 1 - sign), (f.consequent, sign))
-    return frozenset(signed[0]), frozenset(signed[1])
+    return list(met), frozenset(signed[0]), frozenset(signed[1])
 
 
 def _levels(
@@ -90,8 +113,9 @@ def _levels(
     TimeoutError once `time.monotonic()` passes `deadline`."""
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
-    ordered = sorted_subformulas(phi)
-    positive, negative = _signed_subformulas(phi) if polarity else (frozenset(ordered),) * 2
+    met, positive, negative = _signed_subformulas(phi)
+    if not polarity:
+        positive = negative = frozenset(met)
     # the types a term may have: positive, or an arrow for function position
     kept = positive | {f for f in negative if f.__class__ is Imp}
     # the types an abstraction may have, by antecedent and consequent
@@ -104,7 +128,7 @@ def _levels(
         by_type[size].setdefault(state[0], []).append(state)
 
     by_size[1], by_type[1] = [], {}
-    for tau in ordered:
+    for tau in met:
         if tau in negative and tau in kept:
             add(1, (tau, (tau,)))
     yield 1, by_size[1]

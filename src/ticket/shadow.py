@@ -269,7 +269,9 @@ class Decision:
 
 
 def _inhabited(witness: Term, phi: Formula, stats: dict[str, Any]) -> Decision:
+    t0 = time.monotonic()
     cert = extract_combinator(witness, phi)
+    stats["time_extract"] = time.monotonic() - t0
     return Decision("Inhabited", witness, cert, stats)
 
 
@@ -282,8 +284,13 @@ def _exhausted(stats: dict[str, Any], step: str, exhausted_by: str) -> Decision:
 
 def _decide_bounded(phi: Formula, deadline: float, reached: dict[str, Any]) -> Decision:
     """The oracle's verdict. The count of states it built is left in
-    `reached`, for its own stats, a later step's and a timeout's."""
-    witness = bounded_decide(phi, oracle.MAX_ORACLE_NODES, deadline, reached)
+    `reached`, for its own stats, a later step's and a timeout's, and so is
+    its time."""
+    t0 = time.monotonic()
+    try:
+        witness = bounded_decide(phi, oracle.MAX_ORACLE_NODES, deadline, reached)
+    finally:
+        reached["time_bounded"] = time.monotonic() - t0
     stats: dict[str, Any] = {"engine": "bounded", **reached}
     if witness is not None:
         return _inhabited(witness, phi, stats)
@@ -304,13 +311,17 @@ def refute(phi: Formula) -> Decision | None:
 def _decide_shadow(phi: Formula, deadline: float, reached: dict[str, Any]) -> Decision:
     """The shadow engine's verdict, its stats starting from the counts in
     `reached`. If the deadline stops the search, the count of nodes it
-    expanded is left in `reached` for the timeout's stats."""
+    expanded is left in `reached` for the timeout's stats, and so is its
+    time."""
+    t0 = time.monotonic()
     solver = _Solver(phi, deadline)
     try:
         witnesses = solver.solve()
     except TimeoutError:
         reached["expanded"] = solver.expanded
         raise
+    finally:
+        reached["time_shadow"] = time.monotonic() - t0
     stats: dict[str, Any] = {
         "engine": "shadow",
         **reached,
@@ -344,7 +355,12 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
     nodes a shadow step `expanded`),
     `max_oracle_nodes` when the oracle found no witness within its bound,
     and `max_shadow_nodes` or `label_candidates` when that limit left the
-    shadow search incomplete or inexact (the first, if both)."""
+    shadow search incomplete or inexact (the first, if both).
+
+    The stats also give times in seconds: `wall_time` for the whole call,
+    and for each step that ran, a timed-out one too, `time_countermodel`,
+    `time_bounded`, `time_shadow` and `time_extract` (the certificate's
+    extraction)."""
     t0 = time.monotonic()
     deadline = math.inf if config.time_budget is None else t0 + config.time_budget
     step = config.engine
@@ -357,6 +373,7 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
         else:
             step = "countermodel"
             out = refute(phi)
+            reached["time_countermodel"] = time.monotonic() - t0
             if out is None:
                 # the sweep reads no clock: a budget spent in it ends here
                 if time.monotonic() > deadline:
@@ -366,6 +383,8 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
                 if out.verdict != "Inhabited":
                     step = "shadow"
                     out = _decide_shadow(phi, deadline, reached)
+            else:
+                out.stats.update(reached)
     except TimeoutError:
         stats = {"engine": config.engine, "time_budget_hit": True, **reached}
         out = _exhausted(stats, step, "time")

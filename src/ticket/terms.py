@@ -9,8 +9,12 @@ terms: their one renaming step, `place_canonical`, maps canonical terms to
 canonical terms, so they never re-canonicalise. Their one split of an
 application's free variables is `free_splits`, the HRM application rule;
 `type_of` checks that rule on its own and raises NotHRM where a term breaks
-it. HRM substitution and normalization, which only the lemma checks use,
-are in `ticket.compact`.
+it. Typing is one walk, `_typed`, which returns a term's type and free
+ranks bottom-up, so each node is visited once: `type_of` is that walk, and
+`is_nf_inhabitant` runs it once with the checks of a closed normal term
+added (distinct binder ranks, no abstraction in function position). HRM
+substitution and normalization, which only the lemma checks use, are in
+`ticket.compact`, and so is `is_normal`.
 """
 from __future__ import annotations
 
@@ -176,66 +180,61 @@ def bound_refs(m: Term) -> list[VarRef]:
     return out
 
 
-def check_conventions(m: Term) -> None:
-    """Bound-variable convention: distinct binders use distinct ranks and no
-    rank is both free and bound. Raises InvalidTerm on violation."""
-    bounds = bound_refs(m)
-    bound_ranks = [b.rank for b in bounds]
-    if len(bound_ranks) != len(set(bound_ranks)):
-        raise InvalidTerm("duplicate bound rank")
-    free_ranks = set(_free_map(m))
-    if free_ranks & set(bound_ranks):
-        raise InvalidTerm("rank both free and bound")
-
-
-def type_of(m: Term) -> Formula:
-    """Type of m w.r.t. the declared variable types; raises on untypable terms.
+def _typed(m: Term, binders: set[int] | None = None) -> tuple[Formula, dict[int, Formula]]:
+    """The type of m and its free ranks, a rank -> type map, in one walk
+    bottom-up; raises on untypable terms.
 
     Typability subsumes the HRM conditions: abstraction requires the binder to
     be the greatest free variable of the body, application requires the left
-    free variables to be dominated by a right free variable.
-    """
-    if isinstance(m, Var):
-        return m.ref.var_type
-    if isinstance(m, Lam):
-        body_type = type_of(m.body)
-        fm = _free_map(m.body)
-        if not fm or max(fm) != m.binder.rank:
+    free variables to be dominated by a right free variable. A rank used at
+    two types raises InvalidTerm. With a set `binders`, the walk collects the
+    binder ranks into it and also raises InvalidTerm on a repeated binder rank
+    and on an abstraction in function position (a redex)."""
+    if m.__class__ is Var:
+        return m.ref.var_type, {m.ref.rank: m.ref.var_type}
+    if m.__class__ is Lam:
+        binder = m.binder
+        if binders is not None:
+            if binder.rank in binders:
+                raise InvalidTerm("duplicate bound rank")
+            binders.add(binder.rank)
+        body_type, free = _typed(m.body, binders)
+        if not free or max(free) != binder.rank:
             raise NotHRM("binder is not the greatest free variable of its body")
-        if fm[m.binder.rank] != m.binder.var_type:
+        if free.pop(binder.rank) != binder.var_type:
             raise TypeMismatch("binder type differs from its occurrences")
-        return Imp(m.binder.var_type, body_type)
-    fn_type = type_of(m.fn)
-    arg_type = type_of(m.arg)
-    if not isinstance(fn_type, Imp):
+        return Imp(binder.var_type, body_type), free
+    if binders is not None and m.fn.__class__ is Lam:
+        raise InvalidTerm("abstraction in function position")
+    fn_type, left = _typed(m.fn, binders)
+    arg_type, right = _typed(m.arg, binders)
+    if fn_type.__class__ is not Imp:
         raise TypeMismatch("left subterm of application is not of arrow type")
     if fn_type.antecedent != arg_type:
         raise TypeMismatch("argument type does not match the antecedent")
-    left, right = _free_map(m.fn), _free_map(m.arg)
-    _merge_free(left, right)
-    if left and (not right or max(left) > max(right)):
+    top = max(left, default=0)
+    for rank, ft in right.items():
+        if left.setdefault(rank, ft) != ft:
+            raise InvalidTerm(f"rank {rank} used at two different types")
+    if top and (not right or top > max(right)):
         raise NotHRM("application left free variables not dominated by the right")
-    return fn_type.consequent
+    return fn_type.consequent, left
 
 
-def is_normal(m: Term) -> bool:
-    if isinstance(m, Var):
-        return True
-    if isinstance(m, Lam):
-        return is_normal(m.body)
-    if isinstance(m.fn, Lam):
-        return False
-    return is_normal(m.fn) and is_normal(m.arg)
+def type_of(m: Term) -> Formula:
+    """Type of m w.r.t. the declared variable types; raises on untypable terms
+    (see `_typed`)."""
+    return _typed(m)[0]
 
 
 def is_nf_inhabitant(m: Term, phi: Formula) -> bool:
+    """Whether m is a closed normal HRM term of type phi whose binders have
+    distinct ranks, checked in one walk."""
     try:
-        check_conventions(m)
-        if free_vars(m):
-            return False
-        return is_normal(m) and type_of(m) == phi
+        m_type, free = _typed(m, set())
     except TermError:
         return False
+    return not free and m_type == phi
 
 
 def _rename_bound(m: Term, mapping: dict[VarRef, VarRef]) -> Term:
@@ -310,8 +309,8 @@ def alpha_canonical(m: Term) -> Term:
     """Deterministic representative: bound ranks become the smallest fresh
     ranks above all free ranks, assigned in original rank order (so the HRM
     rank constraints are preserved)."""
-    type_of(m)
-    return rename_bound_above(m, max(_free_map(m), default=0))
+    _, free = _typed(m)
+    return rename_bound_above(m, max(free, default=0))
 
 
 def print_term(m: Term) -> str:

@@ -16,9 +16,9 @@ import pytest
 
 import ticket
 import ticket.cli
-from conftest import SEED
-from ticket.cli import EXIT_INTERNAL, USAGE, UsageError, main, read_argv
-from ticket.shadow import Decision
+from conftest import SEED, A, B, C, formula_corpus
+from ticket.cli import ENGINES, EXIT_INTERNAL, USAGE, UsageError, main, read_argv
+from ticket.shadow import DecideConfig, Decision, decide
 
 DEEP = "(" * 1500 + "a->a" + ")" * 1500
 
@@ -162,21 +162,36 @@ def test_wrong_certificate_fails_closed(optimize):
     assert proc.stderr == "error: internal: CertificateError: extracted b->b, wanted a->a\n"
 
 
+# a decision, and the times its stats give beside wall_time: one per step
+# that ran, and one for the certificate's extraction
+TRACED = [
+    (["a->(b->a)", "--engine", "shadow"], ["time_shadow"]),
+    (["a->(b->a)"], ["time_countermodel"]),
+    (["a->a"], ["time_countermodel", "time_bounded", "time_extract"]),
+    (["((c->c)->c)->c"], ["time_countermodel", "time_bounded", "time_shadow"]),
+    (["(a->a->b)->a->b", "--engine", "bounded"], ["time_bounded", "time_extract"]),
+]
+
+
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
 def test_trace_prints_every_stat_on_stderr(capsys, mode):
-    argv = ["decide", "a->(b->a)", "--engine", "shadow"]
-    stats = json.loads(run(capsys, *argv, "--json")[1])["stats"]
-    plain = run(capsys, *argv, *mode)
-    code, out, err = run(capsys, *argv, *mode, "--trace")
-    # stdout is byte-identical with and without --trace
-    assert plain == (code, out, "")
-    lines = [line.partition(" = ") for line in err.splitlines()]
-    assert [key for key, _, _ in lines] == [f"  # {k}" for k in sorted([*stats, "wall_time"])]
-    for key, _, value in lines:
-        if key == "  # wall_time":
-            assert float(value) >= 0
-        else:
-            assert value == str(stats[key[4:]])
+    for args, times in TRACED:
+        argv = ["decide", *args]
+        stats = json.loads(run(capsys, *argv, "--json")[1])["stats"]
+        plain = run(capsys, *argv, *mode)
+        code, out, err = run(capsys, *argv, *mode, "--trace")
+        # stdout is byte-identical with and without --trace
+        assert plain == (code, out, "")
+        lines = [line.partition(" = ") for line in err.splitlines()]
+        # the times are on stderr only
+        timed = ["wall_time", *times]
+        assert not set(timed) & set(stats)
+        assert [key for key, _, _ in lines] == [f"  # {k}" for k in sorted([*stats, *timed])]
+        for key, _, value in lines:
+            if key[4:] in timed:
+                assert float(value) >= 0
+            else:
+                assert value == str(stats[key[4:]])
 
 
 def test_decide_json_schema(capsys):
@@ -195,6 +210,68 @@ def test_decide_json_schema(capsys):
     assert payload["witness_lambda"] == "\\x1:a. x1"
     assert payload["countermodel"] is None
     assert "wall_time" not in payload["stats"]
+
+
+def _encoded(value) -> str:
+    out = []
+    ticket.cli._encode(value, out)
+    return "".join(out)
+
+
+def _dumped(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+# strings that JSON escapes: backslash, quote, control characters, and
+# characters beyond ASCII, in and beyond the basic plane
+AWKWARD = ["", "\\", '"', "\\x1:a. x1", "\x00\x1f\x7f\t\n\r\x08\x0c", "é", "\u2028", "中", "\U0001f600"]
+
+
+def test_encoder_matches_json_dumps():
+    payload = ticket.cli._decision_payload
+    payloads = []
+    # every engine on formula_corpus(); the budget leaves the slowest shadow
+    # searches ResourceExhausted, which are payloads to encode too
+    for phi in formula_corpus():
+        for engine in ENGINES:
+            payloads.append(payload(phi, decide(phi, DecideConfig(engine, 0.2))))
+    # budgets that run out at once
+    for phi in formula_corpus()[::7]:
+        for engine in ENGINES:
+            payloads.append(payload(phi, decide(phi, DecideConfig(engine, 1e-9))))
+    # the census of every formula of at most 4 arrows over a, b, c
+    for phi in formula_corpus(4, (A, B, C)):
+        payloads.append(payload(phi, decide(phi, DecideConfig(time_budget=2.0))))
+    verdicts = {p["verdict"] for p in payloads}
+    assert verdicts == {"Inhabited", "Empty", "ResourceExhausted"}
+    # hand-built payloads
+    payloads += [
+        *AWKWARD,
+        {s: s for s in AWKWARD},
+        [AWKWARD, {}, [], [[]], {"": {}}, None, True, False, 0, -1, 2**70, -(2**70)],
+        {"b": [1, {"d": None, "c": "\\"}], "a": {"z": True, "y": False}},
+    ]
+    for value in payloads:
+        assert _encoded(value) == _dumped(value)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, (1,), {1: "a"}, {"a": {b"b": 1}}, [set()], "".join, json.JSONEncoder]
+)
+def test_encoder_rejects_other_kinds(value):
+    with pytest.raises(TypeError):
+        _encoded(value)
+
+
+def test_unencodable_stats_exit_4(capsys, monkeypatch):
+    # a value the encoder does not know is an internal error, not a verdict
+    def odd_decide(phi, config):
+        return Decision("Empty", None, None, {"engine": "shadow", "ratio": 0.5})
+
+    monkeypatch.setattr(ticket.cli, "decide", odd_decide)
+    code, out, err = run(capsys, "decide", "a->b", "--json")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.startswith("error: internal: TypeError: ")
 
 
 def test_cli_import_leaves_out_the_lemma_modules():

@@ -33,7 +33,6 @@ from ticket.terms import (
     alpha_canonical,
     free_vars,
     is_nf_inhabitant,
-    is_normal,
     print_term,
     type_of,
 )

@@ -107,14 +107,16 @@ def test_countermodel_matches_naive_evaluation():
 
 
 def test_countermodel_sweeps_once(monkeypatch):
+    # the sweep evaluates no matrix on its own: `_values`, which evaluates
+    # a formula in one matrix, is left to `check_countermodel`
     calls = []
-    first_undesignated = ticket.countermodel._first_undesignated
+    values = ticket.countermodel._values
 
     def counted(*args):
         calls.append(args)
-        return first_undesignated(*args)
+        return values(*args)
 
-    monkeypatch.setattr(ticket.countermodel, "_first_undesignated", counted)
+    monkeypatch.setattr(ticket.countermodel, "_values", counted)
     assert countermodel(parse_formula("(a->b->c)->(a->b)->a->c")) is None  # S
     assert calls == []
 

@@ -128,3 +128,23 @@ def test_cli_import_loads_no_dataclasses_and_no_lemma_modules():
     assert not loaded & {"dataclasses", "inspect", "ticket.blueprint", "ticket.compact"}
     # the command line is read without argparse, whose import loads gettext
     assert not loaded & {"argparse", "gettext"}
+
+
+def test_cli_import_builds_the_small_split_tables():
+    # every `oracle._splits` table for up to three free ranks is built by
+    # the import, so a process forked after it finds them; each is what a
+    # call of the uncached function gives
+    src = os.path.dirname(os.path.dirname(ticket.__file__))
+    code = (
+        f"import json, sys; sys.path.insert(0, {src!r}); import ticket.cli\n"
+        "from ticket.oracle import _splits\n"
+        "built = _splits.cache_info().currsize\n"
+        "keys = [(p, q, r) for r in range(4) for p in range(r + 1) for q in range(r + 1)]\n"
+        "same = all(_splits(*key) == _splits.__wrapped__(*key) for key in keys)\n"
+        "print(json.dumps([built, len(keys), _splits.cache_info().misses, same]))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, check=True)
+    built, keys, misses, same = json.loads(out.stdout)
+    # the calls after the import all hit the cache
+    assert built == keys == misses == 30
+    assert same

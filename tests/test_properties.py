@@ -19,10 +19,11 @@ from ticket.compact import (
     comb_to_lambda,
     compress_term,
     hrm_normalize,
+    is_normal,
     subterm_at,
     switch_var,
 )
-from ticket.terms import App, alpha_canonical, free_vars, is_normal, node_count, type_of
+from ticket.terms import App, alpha_canonical, free_vars, node_count, type_of
 
 import conftest
 from conftest import SEED, random_blueprint, random_derivation

@@ -370,14 +370,18 @@ def test_auto_timeout_names_the_step(monkeypatch, step):
         "bounded": {"terms": 2},
         "shadow": {"terms": 3, "expanded": 0},
     }[step]
+    # and the time of each step that ran, the one that timed out too
+    steps = ["countermodel", "bounded", "shadow"]
+    times = [f"time_{s}" for s in steps[: steps.index(step) + 1]]
     assert d.stats == {
         "engine": "auto",
         "time_budget_hit": True,
         **reached,
         "step": step,
         "exhausted_by": "time",
-        "wall_time": d.stats["wall_time"],
+        **{key: d.stats[key] for key in ["wall_time", *times]},
     }
+    assert all(d.stats[key] >= 0 for key in times)
 
 
 def _product_splits(chi):
@@ -500,7 +504,8 @@ def test_shadow_search_stats_are_pinned(text, expanded, witnesses):
         "closure_complete",
         "closure_exact",
         "wall_time",
-    }
+        "time_shadow",
+    } | ({"time_extract"} if witnesses else set())
     assert (stats["expanded"], stats["witnesses"]) == (expanded, witnesses)
     assert stats["closure_complete"] and stats["closure_exact"]
 
