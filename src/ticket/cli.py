@@ -36,7 +36,10 @@ read as a verdict. Output to a closed pipe exits 4 too, with one
 
 The only settings are `--engine` and `--time-budget`; every other limit is a
 constant of the library. JSON output is deterministic: identical input and
-flags produce byte-identical bytes, with or without `--trace`. Times (the
+flags produce identical bytes, with or without `--trace`, except where a
+`--time-budget` runs out. A `ResourceExhausted` verdict on `time` carries
+the counts the search reached (`expanded`, `terms`), which depend on the
+speed of the machine; near the budget, the verdict itself does too. Times (the
 wall time and each step's) are reported only by `--trace`, which prints
 every stat as a `  # key = value` line on stderr in both modes. The
 `countermodel` key is null or an object with sorted keys. `decide --json`

@@ -702,15 +702,6 @@ def _comb(chi: tuple[Formula, ...], tags: tuple[Formula, ...]) -> Blueprint:
     return out
 
 
-def _witness_gamma(chi: tuple[Formula, ...], subs: list[Formula]) -> Blueprint:
-    """Unconstrained comb witness for a fresh leaf node."""
-    n = len(chi)
-    if n <= 1:
-        return canonicalize(_comb(chi, ()))
-    tags = tuple(subs[i % len(subs)] for i in range(n - 1))
-    return canonicalize(_comb(chi, tags))
-
-
 # --- shadow of a term -------------------------------------------------------
 
 def shadow_of(m: Term, phi: Formula) -> Shadow:
@@ -789,8 +780,8 @@ class Enumeration:
 def _solution_shadow(solver: _Solver, m: Term) -> Shadow:
     """The shadow the solver's search gave the solution m: walking m top-down
     with the ancestor history, each node is labelled with its free types in
-    rank order (chi), its type (psi) and a canonical comb gamma: the
-    unconstrained witness at a leaf, elsewhere the comb on the spine tags
+    rank order (chi), its type (psi) and a canonical comb gamma: the leaf of
+    its one free type at a variable, elsewhere the comb on the spine tags
     whose feasibility test admitted the node. Only here are the combs built;
     the search itself keeps no blueprint."""
     mapping: dict[Address, ShadowLabel] = {}
@@ -800,7 +791,7 @@ def _solution_shadow(solver: _Solver, m: Term) -> Shadow:
         chi = tuple(v.var_type for v in free_vars(t))
         psi = type_of(t)
         if isinstance(t, Var):
-            mapping[a] = ShadowLabel(chi, _witness_gamma(chi, solver.subs), psi)
+            mapping[a] = ShadowLabel(chi, canonicalize(_comb(chi, ())), psi)
             continue
         arity = 1 if isinstance(t, Lam) else 2
         tags = solver._tags(chi, arity, psi, hist)

@@ -1,4 +1,5 @@
-"""Brute-force enumeration of normal HRM inhabitants.
+"""Brute-force enumeration of normal HRM inhabitants, and the search state
+that both searches build terms from.
 
 Ground truth for cross-validation: a bottom-up dynamic program over term
 size. Only the order type of ranks matters for HRM and typing, so every term
@@ -6,14 +7,21 @@ is built canonical (`ticket.terms`): a variable is rank 1, an abstraction
 binds the greatest free rank, and an application splits its free ranks
 with `free_splits` and places both sides with `place_canonical`.
 
-The levels hold states: tuples of a term's type, its free types and how it
-is built, `(tau, (tau,))` for the variable of type tau, `(type, free,
-body)` for an abstraction over the state `body` and `(type, free, fn, arg,
-pos1, pos2, r)` for an application, whose sides' free ranks go to pos1 and
-pos2 among its r (a `_splits` entry; those for up to three free ranks are
-built at import). No state is built twice. `_term` builds a state's term,
-and `_hits` calls it only on the closed states of type phi, sorted by
-print.
+A state is a plain tuple that says how a canonical term is built: its type
+psi, its free types chi in rank order, and its parts.
+- `(psi, chi)` is the variable of type psi, with chi = (psi,);
+- `(psi, chi, body)` is the abstraction over the state `body`, whose free
+  types are chi and then the binder's type;
+- `(psi, chi, fn, arg, pos1, pos2, r)` is the application of the state
+  `fn` to the state `arg`, whose free ranks go to pos1 and pos2 among its
+  r = len(chi) (a `free_splits` split).
+`state_term` builds a state's term. Here and in the shadow search
+(`ticket.shadow._Solver`) it is the one place where a search builds a
+term, and only for the states that search returns.
+
+The levels hold states, no state twice. The splits come from `_splits`;
+those for up to three free ranks are built at import. `_hits` builds the
+terms of the closed states of type phi only, sorted by print.
 
 Level 1 holds the variables in the order in which a depth-first walk from
 phi first meets their types (`_signed_subformulas`), so no subformula is
@@ -167,22 +175,33 @@ def _levels(
         yield size, by_size[size]
 
 
-def _term(state: tuple) -> Term:
-    """The canonical term of a state of `_levels`."""
+def state_term(state: tuple, built: dict[int, Term] | None = None) -> Term:
+    """The canonical term of a state (see the module docstring). A caller
+    that builds the terms of many states with shared parts passes the same
+    dict `built` to every call: it maps the id of each state built so far to
+    its term, so that each state's term is built once, and the caller keeps
+    those states alive while it holds the dict."""
+    term = None if built is None else built.get(id(state))
+    if term is not None:
+        return term
     if len(state) == 2:
-        return Var(VarRef(1, state[0]))
-    if len(state) == 3:
+        term = Var(VarRef(1, state[0]))
+    elif len(state) == 3:
         free = state[2][1]
-        return Lam(VarRef(len(free), free[-1]), _term(state[2]))
-    _, _, fn, arg, pos1, pos2, r = state
-    left, top = place_canonical(_term(fn), pos1, r)
-    right, _ = place_canonical(_term(arg), pos2, top)
-    return App(left, right)
+        term = Lam(VarRef(len(free), free[-1]), state_term(state[2], built))
+    else:
+        _, _, fn, arg, pos1, pos2, r = state
+        left, top = place_canonical(state_term(fn, built), pos1, r)
+        right, _ = place_canonical(state_term(arg, built), pos2, top)
+        term = App(left, right)
+    if built is not None:
+        built[id(state)] = term
+    return term
 
 
 def _hits(phi: Formula, states: list[tuple]) -> list[Term]:
     """The terms of one level's closed states of type phi, by print."""
-    return sorted((_term(st) for st in states if not st[1] and st[0] == phi), key=print_term)
+    return sorted((state_term(st) for st in states if not st[1] and st[0] == phi), key=print_term)
 
 
 def enumerate_inhabitants(phi: Formula, max_nodes: int = MAX_ORACLE_NODES) -> list[Term]:

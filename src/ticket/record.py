@@ -6,10 +6,10 @@ write the slots directly; a record has no `__dict__`. `Record` supplies the
 rest of what a frozen dataclass would: assigning or deleting an attribute
 raises AttributeError, `==` and `hash` compare the class and the fields,
 `repr` shows the fields by name, and pickling and copying go through the
-constructor. A class hashed on a hot path, such as the terms, defines its
-own `__eq__` and `__hash__` over its fields. Nothing here runs code per
-class at import, which keeps `dataclasses` and the modules it loads out of
-the start-up of `ticket`.
+constructor. The terms use these generic `==` and `hash` too: the searches
+keep states, not terms, and hash no term. Nothing here runs code per class
+at import, which keeps `dataclasses` and the modules it loads out of the
+start-up of `ticket`.
 """
 from __future__ import annotations
 

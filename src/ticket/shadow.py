@@ -19,22 +19,26 @@ Labels are further restricted to the combinations a term can induce (leaf =
 variable, unary = abstraction, binary = application with an order-preserving
 free-variable merge); every shadow of a compact inhabitant satisfies these,
 so no inhabited domain is lost.
+
+The search returns states, the tuples that say how a term is built (see
+`ticket.oracle`), and shares a sub-search's states among the nodes built
+on them. `solve` builds a term, with `oracle.state_term`, only for each
+state of a solution of phi.
 """
 from __future__ import annotations
 
 import math
 import time
+from itertools import product
 from typing import Any
 
 from .combinators import CombDerivation, extract_combinator
 from .countermodel import MATRICES, Countermodel, check_countermodel, countermodel
 from .formula import Formula, Imp, contraction_closure, sorted_subformulas
 from . import oracle
-from .oracle import bounded_decide
+from .oracle import bounded_decide, state_term
 from .record import Record, slot_setters
-from .terms import (
-    App, Lam, Term, Var, VarRef, free_splits, node_count, place_canonical, print_term
-)
+from .terms import Term, free_splits, node_count, print_term
 
 # Fixed limits of the shadow search. MAX_SHADOW_NODES bounds the length of a
 # node's ancestor history (`len(hist)`, the depth); tripping it clears
@@ -140,9 +144,20 @@ class _Solver:
                 self.fn_types.setdefault(f.consequent, []).append((f.antecedent, f))
 
     def solve(self) -> tuple[Term, ...]:
-        """The inhabitants of phi that `sols` finds, smallest first."""
-        found = self.sols((), self.phi, frozenset(), False)
-        return tuple(sorted(found, key=lambda t: (node_count(t), print_term(t))))
+        """The inhabitants of phi that `sols` finds, smallest first, by
+        (node count, print). Each solution's term is built once, with its
+        sort key, and the deadline is checked per solution. The solutions
+        share sub-states, and each of those is built once too."""
+        states = self.sols((), self.phi, frozenset(), False)
+        built: dict[int, Term] = {}
+        keyed = []
+        for state in states:
+            if time.monotonic() > self.deadline:
+                raise TimeoutError
+            t = state_term(state, built)
+            keyed.append((node_count(t), print_term(t), t))
+        keyed.sort(key=lambda k: k[:2])
+        return tuple([t for _, _, t in keyed])
 
     def sols(
         self,
@@ -150,41 +165,43 @@ class _Solver:
         psi: Formula,
         hist: frozenset,
         fn_position: bool,
-    ) -> frozenset[Term]:
-        """All normal HRM terms t with type psi, free types exactly chi at
-        ranks 1..|chi|, whose subtree shadow extends the given ancestor
-        history without breaking compactness. Each term is built canonical
-        (`ticket.terms`): an application places both sides with
-        `place_canonical`. A function-position subterm is never an
-        abstraction (the term would have a redex), so that branch is skipped
-        there. Every step adds a new (arity, psi, chi) entry to hist (a
-        repeated entry fails feasibility), so len(hist) is the depth. An
-        application walks the `free_splits` of chi lazily and checks the
-        deadline at each side, so the budget holds however many free
-        variables a node has. An argument side is searched only for function
-        sides that have solutions, and each distinct side once per call."""
+    ) -> list[tuple]:
+        """The states (`ticket.oracle`) of all normal HRM terms with type psi
+        and free types exactly chi at ranks 1..|chi| whose subtree shadow
+        extends the given ancestor history without breaking compactness.
+        Distinct rules, function types, splits or sub-states give distinct
+        terms, so no state is found twice, and no term is built here. A
+        function-position subterm is never an abstraction (the term would
+        have a redex), so that branch is skipped there. Every step adds a
+        new (arity, psi, chi) entry to hist (a repeated entry fails
+        feasibility), so len(hist) is the depth. An application walks the
+        `free_splits` of chi lazily and checks the deadline at each side and
+        each pair of sides' states, so the budget holds however many free
+        variables and states a node has. An argument side is searched only
+        for function sides that have solutions, and each distinct side once
+        per call."""
         if len(hist) > MAX_SHADOW_NODES:
             self.complete = False
-            return frozenset()
+            return []
         if time.monotonic() > self.deadline:
             raise TimeoutError
         self.expanded += 1
-        out: set[Term] = set()
+        out: list[tuple] = []
         if chi == (psi,):
-            out.add(Var(VarRef(1, psi)))
+            out.append((psi, chi))
         if isinstance(psi, Imp) and not fn_position:
             if self._tags(chi, 1, psi, hist) is not None:
                 child_hist = hist | {(1, psi, chi)}
-                binder = VarRef(len(chi) + 1, psi.antecedent)
-                for t in self.sols(chi + (psi.antecedent,), psi.consequent, child_hist, False):
-                    out.add(Lam(binder, t))
+                body_chi = chi + (psi.antecedent,)
+                for body in self.sols(body_chi, psi.consequent, child_hist, False):
+                    out.append((psi, chi, body))
         if self._tags(chi, 2, psi, hist) is not None:
             child_hist = hist | {(2, psi, chi)}
             r = len(chi)
             for psi2, fn_type in self.fn_types.get(psi, ()):
                 # chi1 -> the function side's solutions, chi2 -> the argument side's
-                fns: dict[tuple[Formula, ...], frozenset[Term]] = {}
-                args: dict[tuple[Formula, ...], frozenset[Term]] = {}
+                fns: dict[tuple[Formula, ...], list[tuple]] = {}
+                args: dict[tuple[Formula, ...], list[tuple]] = {}
                 for pos1, pos2s in free_splits(r):
                     # a node with r free variables has 2^r function sides
                     if time.monotonic() > self.deadline:
@@ -202,16 +219,13 @@ class _Solver:
                         sols2 = args.get(chi2)
                         if sols2 is None:
                             sols2 = args[chi2] = self.sols(chi2, psi2, child_hist, False)
-                        for t1 in sols1:
-                            left, top = place_canonical(t1, pos1, r)
-                            for t2 in sols2:
-                                # checked per pair: one function side
-                                # can meet thousands of arguments
-                                if time.monotonic() > self.deadline:
-                                    raise TimeoutError
-                                right, _ = place_canonical(t2, pos2, top)
-                                out.add(App(left, right))
-        return frozenset(out)
+                        for fn, arg in product(sols1, sols2):
+                            # checked per pair: one function side can meet
+                            # thousands of arguments
+                            if time.monotonic() > self.deadline:
+                                raise TimeoutError
+                            out.append((psi, chi, fn, arg, pos1, pos2, r))
+        return out
 
     def _tags(
         self, chi: tuple[Formula, ...], arity: int, psi: Formula, hist: frozenset

@@ -5,9 +5,10 @@ variables) and a declared type. Terms are not identified modulo alpha
 conversion. A term is canonical when its p free ranks are 1..p and its
 bound ranks are p+1, p+2, ... with no gap; `alpha_canonical` computes that
 representative and is the reference. Both searches build only canonical
-terms: their one renaming step, `place_canonical`, maps canonical terms to
-canonical terms, so they never re-canonicalise. Their one split of an
-application's free variables is `free_splits`, the HRM application rule;
+terms, through one term builder, `oracle.state_term`, whose one renaming
+step, `place_canonical`, maps canonical terms to canonical terms, so they
+never re-canonicalise. Their one split of an application's free variables
+is `free_splits`, the HRM application rule;
 `type_of` checks that rule on its own and raises NotHRM where a term breaks
 it. Typing is one walk, `_typed`, which returns a term's type and free
 ranks bottom-up, so each node is visited once: `type_of` is that walk, and
@@ -51,9 +52,6 @@ class PreconditionViolated(TermError):
     pass
 
 
-# Terms are hashed whole, once per set insertion in the shadow search, so
-# the term classes compare and hash their fields directly rather than through
-# `Record`'s field tuple, which takes three times as long.
 class VarRef(Record):
     __slots__ = ("rank", "var_type")
 
@@ -63,28 +61,12 @@ class VarRef(Record):
         _set_rank(self, rank)
         _set_var_type(self, var_type)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rank, self.var_type) == (other.rank, other.var_type)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.var_type))
-
 
 class Var(Record):
     __slots__ = ("ref",)
 
     def __init__(self, ref: VarRef) -> None:
         _set_ref(self, ref)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ref,) == (other.ref,)
-
-    def __hash__(self) -> int:
-        return hash((self.ref,))
 
 
 class Lam(Record):
@@ -94,14 +76,6 @@ class Lam(Record):
         _set_binder(self, binder)
         _set_body(self, body)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.binder, self.body) == (other.binder, other.body)
-
-    def __hash__(self) -> int:
-        return hash((self.binder, self.body))
-
 
 class App(Record):
     __slots__ = ("fn", "arg")
@@ -109,14 +83,6 @@ class App(Record):
     def __init__(self, fn: Term, arg: Term) -> None:
         _set_fn(self, fn)
         _set_arg(self, arg)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.fn, self.arg) == (other.fn, other.arg)
-
-    def __hash__(self) -> int:
-        return hash((self.fn, self.arg))
 
 
 _set_rank, _set_var_type = slot_setters(VarRef)

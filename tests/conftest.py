@@ -10,7 +10,7 @@ import pytest
 
 from ticket.blueprint import Blueprint, app, leaf, make_blueprint, star
 from ticket.formula import Atom, Formula, Imp, parse_formula
-from ticket.oracle import _levels, _term
+from ticket.oracle import _levels, state_term
 from ticket.terms import Term
 
 SEED = int(os.environ.get("TICKET_SEED", "0"))
@@ -42,7 +42,7 @@ def _build_pools() -> tuple[list[tuple[Term, Formula]], list[tuple[Term, Formula
         # polarity pruning is off
         for size, states in _levels(phi, 18, polarity=False):
             for st in states:
-                open_pool.append((_term(st), st[0]))
+                open_pool.append((state_term(st), st[0]))
                 if not st[1]:
                     closed_pool.append(open_pool[-1])
             if size == 9:

@@ -117,6 +117,22 @@ def test_compress_term_collapses_repeated_tag():
     assert node_count(out) < node_count(m)
 
 
+def test_compress_term_grafts_through_an_abstraction():
+    # the graft (1, 1) onto (1, 1, 2) walks through the binder of x3, so the
+    # body is compressed and its free variables are re-chained under it
+    cd = Imp(c, Atom("d"))
+    x1, x2, x3 = VarRef(1, Imp(cd, cd)), VarRef(2, cd), VarRef(3, c)
+    m = Lam(x3, App(App(Var(x1), App(Var(x1), Var(x2))), Var(x3)))
+    target = Lam(x3, App(App(Var(x1), Var(x2)), Var(x3)))
+    alpha = blueprint_of(target)
+    assert alpha in up_closure(blueprint_of(m))
+    out = compress_term(m, alpha)
+    assert print_term(out) == "\\x3:c. x1 x2 x3"
+    assert out == target
+    assert blueprint_of(out) == alpha
+    assert type_of(out) == type_of(m) == cd
+
+
 def test_compress_term_reflexive():
     f = VarRef(1, Imp(a, c))
     y = VarRef(2, a)

@@ -4,7 +4,7 @@ import pytest
 
 from ticket import oracle
 from ticket.formula import parse_formula, print_formula
-from ticket.oracle import _levels, _term, bounded_decide, enumerate_inhabitants
+from ticket.oracle import _levels, bounded_decide, enumerate_inhabitants, state_term
 from ticket.terms import alpha_canonical, free_vars, is_nf_inhabitant, node_count, print_term, type_of
 
 from conftest import formula_corpus
@@ -67,17 +67,17 @@ def test_bounded_decide_builds_terms_only_for_its_last_level_hits(monkeypatch):
     calls = []
     depth = [0]
 
-    def counting(state):
+    def counting(state, built=None):
         if not depth[0]:
             calls.append(state)
         depth[0] += 1
         try:
-            return term(state)
+            return term(state, built)
         finally:
             depth[0] -= 1
 
-    term = oracle._term
-    monkeypatch.setattr(oracle, "_term", counting)
+    term = oracle.state_term
+    monkeypatch.setattr(oracle, "state_term", counting)
     # (formula, the size the search stops at, its number of hits); a->b->a
     # has no witness, so the search runs to the bound
     cases = [("(a->a->b)->a->b", 7, 1), ("(x->y)->((p->x)->(p->y))", 8, 1), ("a->b->a", 10, 0)]
@@ -98,7 +98,7 @@ def test_levels_build_each_term_once_and_canonical():
         seen = set()
         for _, states in _levels(phi, 9):
             for st in states:
-                m = _term(st)
+                m = state_term(st)
                 assert alpha_canonical(m) == m
                 assert type_of(m) == st[0]
                 assert tuple(v.var_type for v in free_vars(m)) == st[1]
@@ -114,7 +114,7 @@ def test_pruning_loses_no_closed_term():
     for phi in formula_corpus():
         reference = []
         for size, states in _levels(phi, 2 * n, polarity=False):
-            closed = [_term(st) for st in states if not st[1] and st[0] == phi]
+            closed = [state_term(st) for st in states if not st[1] and st[0] == phi]
             reference.extend(sorted(closed, key=print_term))
             if size == n:
                 break
@@ -167,7 +167,7 @@ def test_polarity_pruning_builds_fewer_terms():
     # the pruned levels are a strict part of the full ones; that they keep
     # every closed term is test_pruning_loses_no_closed_term
     phi = parse_formula("((b->a)->b->a)->(b->a)->b->a")
-    pruned = [_term(st) for _, states in _levels(phi, 7) for st in states]
-    every = [_term(st) for _, states in _levels(phi, 7, polarity=False) for st in states]
+    pruned = [state_term(st) for _, states in _levels(phi, 7) for st in states]
+    every = [state_term(st) for _, states in _levels(phi, 7, polarity=False) for st in states]
     assert set(pruned) < set(every)
     assert (len(pruned), len(every)) == (len(set(pruned)), len(set(every)))

@@ -15,18 +15,21 @@ import ticket
 import ticket.compact
 import ticket.oracle
 import ticket.shadow
-from ticket.blueprint import f_of
+from ticket.blueprint import app, canonicalize, empty, f_of, leaf, star
 from ticket.combinators import check_derivation
 from ticket.compact import (
+    ShadowLabel,
+    _comb,
     enumerate_compact_shadows,
     inhabitant_with_domain,
     is_compact_shadow,
     is_phi_shadow,
+    make_shadow,
     root_shadow,
     shadow_of,
 )
 from ticket.formula import parse_formula
-from ticket.oracle import bounded_decide, enumerate_inhabitants
+from ticket.oracle import bounded_decide, enumerate_inhabitants, state_term
 from ticket.shadow import (
     DecideConfig,
     _feasible_tags,
@@ -34,8 +37,8 @@ from ticket.shadow import (
     _Solver,
     decide,
 )
-from ticket.terms import Lam, Var, VarRef, alpha_canonical, free_splits, is_nf_inhabitant, print_term
-from ticket.formula import Atom, subformulas
+from ticket.terms import App, Lam, Var, VarRef, alpha_canonical, free_splits, is_nf_inhabitant, print_term
+from ticket.formula import Atom, Imp, subformulas
 
 from conftest import formula_corpus
 
@@ -71,6 +74,64 @@ def test_shadow_of_wrong_phi_rejected():
     idm = Lam(VarRef(1, a), Var(VarRef(1, a)))
     x = shadow_of(idm, phi)
     assert not is_phi_shadow(x, other)
+
+
+def test_phi_shadow_rejects_each_broken_condition():
+    # mutants of the one enumerated shadow of (a->a->b)->a->b, each breaking
+    # one condition of `is_phi_shadow`, so that each of its checks is the
+    # only one that rejects some mutant; at (1,) one unary node is above,
+    # at (1, 1) and (1, 1, 2) two, and the formula has 5 subformulas
+    phi = parse_formula("(a->a->b)->a->b")
+    (x,) = enumerate_compact_shadows(phi).shadows
+    assert is_phi_shadow(x, phi)
+    entries = dict(x.entries)
+    b, z = Atom("b"), Atom("z")
+    fn = Imp(a, Imp(a, b))
+    var = entries[(1, 1, 2)]
+    assert (var.chi_seq, var.gamma, var.psi) == ((a,), leaf(a), a)
+
+    def at(addr, **change):
+        label = entries[addr]
+        fields = {"chi_seq": label.chi_seq, "gamma": label.gamma, "psi": label.psi, **change}
+        return {**entries, addr: ShadowLabel(**fields)}
+
+    deep = leaf(a)
+    for _ in range(11):
+        deep = app(a, deep, leaf(a))
+    mutants = {
+        "no root": {},
+        "no parent": {**entries, (1, 1, 2, 1, 1): var},
+        "child 3": {**entries, (1, 1, 2, 3): var},
+        "argument without function": {k: v for k, v in entries.items() if k[:3] != (1, 1, 1)},
+        "root type": at((), psi=Imp(a, b)),
+        "type not a subformula": at((1, 1, 2), psi=z),
+        "more free types than binders": at(
+            (1,), chi_seq=(fn, a), gamma=canonicalize(_comb((fn, a), (b,)))
+        ),
+        "not canonical": at((1, 1, 2), gamma=star([leaf(a)], [(2,)])),
+        "tag not a subformula": at((1, 1), gamma=canonicalize(_comb((fn, a), (z,)))),
+        "too wide": at((1, 1, 2), gamma=canonicalize(star([leaf(a)] * 3))),
+        "too deep": at((1, 1, 2), gamma=canonicalize(deep)),
+        "free types not realized": at((1, 1, 2), gamma=leaf(b)),
+    }
+    assert [name for name, m in mutants.items() if is_phi_shadow(make_shadow(m), phi)] == []
+
+
+def test_compact_shadow_rejects_a_repeated_label():
+    # Church's two, \f.\x. f (f x): the application f x sits below f (f x)
+    # with the same arity, type and free types, so its comb admits the free
+    # types of its ancestor; with x in place of f x the shadow is compact
+    phi = parse_formula("(a->a)->a->a")
+    aa = Imp(a, a)
+    fn = ShadowLabel((aa,), leaf(aa), aa)
+    applied = ShadowLabel((aa, a), canonicalize(_comb((aa, a), (a,))), a)
+    var = ShadowLabel((a,), leaf(a), a)
+    once = {(): ShadowLabel((), empty(), phi), (1,): fn, (1, 1): applied, (1, 1, 1): fn, (1, 1, 2): var}
+    twice = {**once, (1, 1, 2): applied, (1, 1, 2, 1): fn, (1, 1, 2, 2): var}
+    for labels, compact in ((once, True), (twice, False)):
+        x = make_shadow(labels)
+        assert is_phi_shadow(x, phi)
+        assert is_compact_shadow(x) is compact
 
 
 @pytest.mark.parametrize(
@@ -202,11 +263,64 @@ def test_time_budget_stops_either_engine_off_the_main_thread(
     assert result["seconds"] < config.time_budget + 0.5
 
 
-def test_time_budget_is_checked_per_pair_of_sides():
+PAIRS = "((c->c->c)->c)->(c->c->c)->c"
+
+
+def _ticking(monkeypatch, ticks_per_pair: int, ticks_per_term: int) -> list[int]:
+    """A clock for the shadow search that moves only with its work: the given
+    ticks per pair of an application's sides and per term built."""
+    clock = [0]
+
+    def pairs(fns, args):
+        for pair in itertools.product(fns, args):
+            clock[0] += ticks_per_pair
+            yield pair
+
+    def term(state, built):
+        clock[0] += ticks_per_term
+        return state_term(state, built)
+
+    monkeypatch.setattr(ticket.shadow, "product", pairs)
+    monkeypatch.setattr(ticket.shadow, "state_term", term)
+    monkeypatch.setattr(ticket.shadow, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    return clock
+
+
+def test_time_budget_is_checked_per_pair_of_sides(monkeypatch):
     # an application's function side meets thousands of argument-side
-    # solutions here, so a deadline checked only per search node overshoots
-    # by far more than the margin
-    phi = parse_formula("((c->c->c)->c)->(c->c->c)->c")
+    # states here, so a deadline checked only per side or per search node
+    # overshoots by that many pairs; checked per pair, the search stops at
+    # the first pair past the deadline, wherever in a node it falls
+    clock = _ticking(monkeypatch, ticks_per_pair=1, ticks_per_term=0)
+    phi = parse_formula(PAIRS)
+    assert len(_Solver(phi).sols((), phi, frozenset(), False)) == 7001
+    assert clock[0] == 20478
+    for deadline in range(0, 20478, 2048):
+        clock[0] = 0
+        with pytest.raises(TimeoutError):
+            _Solver(phi, deadline).solve()
+        assert clock[0] == deadline + 1
+
+
+def test_time_budget_is_checked_per_term_built(monkeypatch):
+    # the search reads a still clock; the terms of its 144 solutions,
+    # built one per state, each check the deadline again
+    clock = _ticking(monkeypatch, ticks_per_pair=0, ticks_per_term=1)
+    phi = parse_formula("((b->b->a)->b)->(b->b->b->a)->b")
+    for deadline in (0, 71, 142):
+        clock[0] = 0
+        with pytest.raises(TimeoutError):
+            _Solver(phi, deadline).solve()
+        assert clock[0] == deadline + 1
+    # the last term is built at the deadline, with no check after it
+    clock[0] = 0
+    assert len(_Solver(phi, 143).solve()) == 144
+
+
+def test_time_budget_holds_while_terms_are_built():
+    # on the real clock: the search takes a small part of the budget here
+    # and building and ordering the 7001 solutions' terms the rest
+    phi = parse_formula(PAIRS)
     t0 = time.monotonic()
     d = decide(phi, DecideConfig(engine="shadow", time_budget=0.3))
     seconds = time.monotonic() - t0
@@ -252,6 +366,21 @@ def test_solutions_are_built_canonical():
             assert alpha_canonical(m) == m
 
 
+def test_no_search_hashes_a_term(monkeypatch):
+    # the searches keep states and build a term only for what they return,
+    # so no set or dict of terms is left on the decision path
+    def unhashable(self):
+        raise AssertionError(f"{type(self).__name__} hashed")
+
+    for cls in (Var, Lam, App, VarRef):
+        monkeypatch.setattr(cls, "__hash__", unhashable)
+    with pytest.raises(AssertionError):
+        hash(Var(VarRef(1, a)))
+    for engine in ("auto", "bounded", "shadow"):
+        for phi in formula_corpus():
+            decide(phi, DecideConfig(engine=engine, time_budget=0.2))
+
+
 def test_feasibility_test_checks_the_deadline():
     # one feasibility test can try MAX_LABEL_CANDIDATES tag patterns (one
     # ran for about 19 s on ((b->c->a)->a)->a->a), so the deadline is
@@ -275,6 +404,21 @@ def test_unconstrained_feasibility_computes_no_closure(monkeypatch):
     assert _feasible_tags((a, b, c), none, [a, b, c]) == ((a, b), True)
     assert _feasible_tags((a, b, c), none, [c, a]) == ((c, a), True)
     assert _feasible_tags((a, b, c, a), none, [c, a]) == ((c, c, c), True)
+
+
+def test_label_candidate_cap_makes_the_search_inexact(monkeypatch):
+    # the comb with tags a, b, a, the third pattern tried, is the first
+    # whose graft closure misses (a, a, b); with two candidates allowed the
+    # test gives up, and says so
+    b = Atom("b")
+    chi, constraints = (a, b, a, b), frozenset({(a, a, b)})
+    assert _feasible_tags(chi, constraints, [a, b]) == ((a, b, a), True)
+    monkeypatch.setattr(ticket.shadow, "MAX_LABEL_CANDIDATES", 2)
+    assert _feasible_tags(chi, constraints, [a, b]) == (None, False)
+    d = decide(parse_formula("((a->b->a)->a)->a"), DecideConfig(engine="shadow"))
+    assert d.verdict == "ResourceExhausted"
+    assert (d.stats["step"], d.stats["exhausted_by"]) == ("shadow", "label_candidates")
+    assert d.stats["closure_complete"] is True and d.stats["closure_exact"] is False
 
 
 def test_caps_resource_exhaustion(monkeypatch):
