@@ -40,12 +40,13 @@ closed normal term of type phi, a subterm sits either at the root, as the
 body of an abstraction or as an argument, where by induction from the root
 its type occurs positively in phi, or in function position, where its type
 is an arrow. An abstraction is never in function position (that would be a
-redex), so its type is positive; a variable is bound by a positive
-abstraction, so its type occurs negatively. `_levels` therefore builds a
-variable only at a negative type, an abstraction only at a positive type,
-and keeps a term only if its type is positive or an arrow. The pruned
-terms occur in no closed inhabitant, so every level keeps the same closed
-terms of type phi, and the witnesses do not change.
+redex), so its type is positive; a variable is bound by an abstraction,
+whose type is then a positive arrow of phi with the variable's type as its
+antecedent. `_levels` therefore builds a variable only at the antecedent of
+a positive arrow, an abstraction only at a positive type, and keeps a term
+only if its type is positive or an arrow. The pruned terms occur in no
+closed inhabitant, so every level keeps the same closed terms of type phi,
+and the witnesses do not change.
 """
 from __future__ import annotations
 
@@ -122,8 +123,10 @@ def _levels(
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
     met, positive, negative = _signed_subformulas(phi)
+    # the types a variable may have: those an abstraction of phi can bind
+    bound = {f.antecedent for f in positive if f.__class__ is Imp}
     if not polarity:
-        positive = negative = frozenset(met)
+        positive = negative = bound = frozenset(met)
     # the types a term may have: positive, or an arrow for function position
     kept = positive | {f for f in negative if f.__class__ is Imp}
     # the types an abstraction may have, by antecedent and consequent
@@ -137,7 +140,7 @@ def _levels(
 
     by_size[1], by_type[1] = [], {}
     for tau in met:
-        if tau in negative and tau in kept:
+        if tau in bound and tau in kept:
             add(1, (tau, (tau,)))
     yield 1, by_size[1]
 

@@ -22,8 +22,9 @@ so no inhabited domain is lost.
 
 The search returns states, the tuples that say how a term is built (see
 `ticket.oracle`), and shares a sub-search's states among the nodes built
-on them. `solve` builds a term, with `oracle.state_term`, only for each
-state of a solution of phi.
+on them. `solve` builds a term, with `oracle.state_term`, for each state
+of a solution of phi; `decide` builds one only for the solutions of the
+least node count, which it reads off the states.
 """
 from __future__ import annotations
 
@@ -311,10 +312,11 @@ def _decide_bounded(phi: Formula, deadline: float, reached: dict[str, Any]) -> D
     return _exhausted(stats, "bounded", "max_oracle_nodes")
 
 
-def refute(phi: Formula) -> Decision | None:
+def refute(phi: Formula, deadline: float = math.inf) -> Decision | None:
     """Empty with a checked 3-valued countermodel, or None when none is
-    found. A countermodel that fails its check raises CountermodelError."""
-    cm = countermodel(phi)
+    found. A countermodel that fails its check raises CountermodelError.
+    Raises TimeoutError once `time.monotonic()` passes `deadline`."""
+    cm = countermodel(phi, deadline)
     if cm is None:
         return None
     check_countermodel(cm, phi)
@@ -322,15 +324,36 @@ def refute(phi: Formula) -> Decision | None:
     return Decision("Empty", None, None, {"engine": "countermodel", "matrices_tried": tried}, cm)
 
 
+def _smallest(states: list[tuple]) -> Term:
+    """The first term of the states by (node count, print), as `solve`
+    orders them. Node counts are read off the states, memoised by id as
+    `state_term` memoises terms, and a term is built only for the states of
+    the least count."""
+    counts: dict[int, int] = {}
+
+    def count(state: tuple) -> int:
+        n = counts.get(id(state))
+        if n is None:
+            # the parts of an abstraction or an application: its body, or
+            # its function and argument
+            n = counts[id(state)] = 1 + sum(map(count, state[2:4]))
+        return n
+
+    least = min(map(count, states))
+    built: dict[int, Term] = {}
+    return min((state_term(st, built) for st in states if count(st) == least), key=print_term)
+
+
 def _decide_shadow(phi: Formula, deadline: float, reached: dict[str, Any]) -> Decision:
     """The shadow engine's verdict, its stats starting from the counts in
-    `reached`. If the deadline stops the search, the count of nodes it
-    expanded is left in `reached` for the timeout's stats, and so is its
-    time."""
+    `reached`; `witnesses` is the number of solutions. If the deadline stops
+    the search, the count of nodes it expanded is left in `reached` for the
+    timeout's stats, and so is its time."""
     t0 = time.monotonic()
     solver = _Solver(phi, deadline)
     try:
-        witnesses = solver.solve()
+        states = solver.sols((), phi, frozenset(), False)
+        witness = _smallest(states) if states else None
     except TimeoutError:
         reached["expanded"] = solver.expanded
         raise
@@ -340,12 +363,12 @@ def _decide_shadow(phi: Formula, deadline: float, reached: dict[str, Any]) -> De
         "engine": "shadow",
         **reached,
         "expanded": solver.expanded,
-        "witnesses": len(witnesses),
+        "witnesses": len(states),
         "closure_complete": solver.complete,
         "closure_exact": solver.exact,
     }
-    if witnesses:
-        return _inhabited(witnesses[0], phi, stats)
+    if witness is not None:
+        return _inhabited(witness, phi, stats)
     if solver.complete and solver.exact:
         return Decision("Empty", None, None, stats)
     return _exhausted(stats, "shadow", "label_candidates" if solver.complete else "max_shadow_nodes")
@@ -386,10 +409,12 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
             out = _decide_shadow(phi, deadline, reached)
         else:
             step = "countermodel"
-            out = refute(phi)
-            reached["time_countermodel"] = time.monotonic() - t0
+            try:
+                out = refute(phi, deadline)
+            finally:
+                reached["time_countermodel"] = time.monotonic() - t0
             if out is None:
-                # the sweep reads no clock: a budget spent in it ends here
+                # a budget spent after the sweep's last check ends here
                 if time.monotonic() > deadline:
                     raise TimeoutError
                 step = "bounded"

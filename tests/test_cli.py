@@ -571,6 +571,25 @@ def test_check_valid_countermodel(capsys, tmp_path):
     assert "valid countermodel" in out
 
 
+def test_formula_past_max_atoms_gets_a_checked_countermodel(capsys, tmp_path):
+    # nine atoms, one more than countermodel.MAX_ATOMS: the sweep merges i
+    # onto a, and the assignment gives i the value of a. The shadow search
+    # ran out of a 3 s budget on this formula when such formulas skipped
+    # the sweep
+    text = "a->b->c->d->e->f->g->h->i->a"
+    code, out, _ = run(capsys, "decide", text, "--json", "--time-budget", "3")
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["stats"]["engine"]) == ("Empty", "countermodel")
+    assignment = payload["countermodel"]["assignment"]
+    assert sorted(assignment) == list("abcdefghi") and assignment["i"] == assignment["a"]
+    path = tmp_path / "countermodel.json"
+    path.write_text(json.dumps(payload["countermodel"]))
+    code, out, _ = run(capsys, "check", str(path), text)
+    assert code == 0
+    assert "valid countermodel" in out
+
+
 @pytest.mark.parametrize(
     "edit,reason",
     [

@@ -73,13 +73,13 @@ def _atoms(f):
 
 def _naive_countermodel(phi):
     """The reference: every matrix in table order, every assignment in
-    lexicographic order, one evaluation at a time; None beyond MAX_ATOMS."""
+    lexicographic order, one evaluation at a time; each atom past the first
+    MAX_ATOMS, in sorted order, takes the first atom's value."""
     names = sorted(_atoms(phi))
-    if len(names) > MAX_ATOMS:
-        return None
+    merged = max(0, len(names) - MAX_ATOMS)
     for table, designated in MATRICES:
-        for values in itertools.product(range(3), repeat=len(names)):
-            env = dict(zip(names, values))
+        for values in itertools.product(range(3), repeat=len(names) - merged):
+            env = dict(zip(names, values + values[:1] * merged))
             if _value(phi, table, env) not in designated:
                 return Countermodel(table, designated, tuple(sorted(env.items())))
     return None
@@ -100,10 +100,26 @@ def test_countermodel_matches_naive_evaluation():
     formulas += [_formula_over(rng, "abcdefgh"[:n]) for n in (4, 5, 6, 7, 8) for _ in range(20)]
     # 7 and 8 atoms: non-theorems, so the naive search stops at a countermodel
     assert all(countermodel(phi) for phi in formulas[-40:])
+    # 9 atoms: i is merged onto a, and the non-theorem is still refuted
     nine = _formula_over(rng, "abcdefghi")
-    assert countermodel(nine) is None
+    assert countermodel(nine)
     for phi in formulas + [nine]:
         assert countermodel(phi) == _naive_countermodel(phi), print_formula(phi)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(a->b)->(b->c)->(c->d)->(d->e)->(e->f)->(f->g)->(g->h)->(h->i)->a->i",
+        "(a->b->c->d->e->f->g->h->i)->a->b->c->d->e->f->g->h->i",
+    ],
+)
+def test_theorem_past_max_atoms_is_not_refuted(text):
+    # merging i onto a gives an instance of the theorem, which every matrix
+    # validates
+    phi = parse_formula(text)
+    assert len(_atoms(phi)) == MAX_ATOMS + 1
+    assert countermodel(phi) is None
 
 
 def test_countermodel_sweeps_once(monkeypatch):
@@ -171,13 +187,26 @@ def test_check_rejects_another_formula():
         check_countermodel(cm, parse_formula("c->c"))
 
 
-def test_too_many_atoms_are_not_searched():
+def test_atoms_past_max_atoms_are_merged_onto_the_first():
+    # i->h->...->b->a has one atom more than MAX_ATOMS: i is merged onto a
+    # for the sweep, takes a's value in the assignment, and the countermodel
+    # is checked against phi itself
     names = [Atom(n) for n in "abcdefghi"]
     phi = names[0]
     for atom in names[1:]:
         phi = Imp(atom, phi)
-    assert countermodel(phi) is None
+    cm = countermodel(phi)
+    check_countermodel(cm, phi)
+    assignment = dict(cm.assignment)
+    assert sorted(assignment) == list("abcdefghi") and assignment["i"] == assignment["a"]
     assert countermodel(Imp(names[1], names[0])) is not None
+
+
+def test_sweep_checks_the_deadline():
+    phi = parse_formula("a->b->a")
+    assert countermodel(phi, deadline=time.monotonic() + 60) is not None
+    with pytest.raises(TimeoutError):
+        countermodel(phi, deadline=0.0)
 
 
 def test_deep_formula_is_searched():

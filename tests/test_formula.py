@@ -331,8 +331,9 @@ def test_deep_formula_hashes():
 def test_sorted_subformulas_holds_budgets_on_long_formulas():
     # sorting the subformulas of a 999-arrow chain printed each key from
     # scratch, quadratic in its length, before the first deadline check
-    # (0.7-1.0 s); over 9 atoms, more than `countermodel.MAX_ATOMS`, auto
-    # skips the countermodel sweep. Each decision now overshoots its budget
+    # (0.7-1.0 s). Over 9 atoms, more than `countermodel.MAX_ATOMS`, auto's
+    # countermodel sweep merges i onto a and takes about 0.3 s, so it
+    # checks the deadline per arrow. Each decision now overshoots its budget
     # by milliseconds; the bound leaves room for a loaded machine. The
     # decisions run in a child process, killed at the hard timeout.
     code = (

@@ -3,11 +3,11 @@ import time
 import pytest
 
 from ticket import oracle
-from ticket.formula import parse_formula, print_formula
+from ticket.formula import Imp, parse_formula, print_formula
 from ticket.oracle import _levels, bounded_decide, enumerate_inhabitants, state_term
 from ticket.terms import alpha_canonical, free_vars, is_nf_inhabitant, node_count, print_term, type_of
 
-from conftest import formula_corpus
+from conftest import A, B, C, formula_corpus
 
 
 def test_identity_smallest():
@@ -106,19 +106,58 @@ def test_levels_build_each_term_once_and_canonical():
                 seen.add(m)
 
 
+# Formulas on which the binder rule prunes variables at negative types that
+# no abstraction binds, with the sizes they are checked to: c->c in the
+# first (the oracle then builds 3 states up to 20 nodes, where it built
+# 199 782), x and y in the second.
+PRUNED_BY_BINDER_RULE = [("((c->c)->c->c)->c->c", 9), ("(x->y)->((p->x)->(p->y))", 9)]
+
+
 def test_pruning_loses_no_closed_term():
     # at bound 2n no term of at most n nodes is pruned for its size: it has
     # at most n free variables, so the unpruned reference is sizes 1..n at
     # bound 2n, without polarity pruning
-    n = 7
-    for phi in formula_corpus():
+    cases = [(phi, 7) for phi in formula_corpus(4, (A, B, C))]
+    cases += [(parse_formula(text), n) for text, n in PRUNED_BY_BINDER_RULE]
+    for phi, n in cases:
         reference = []
         for size, states in _levels(phi, 2 * n, polarity=False):
             closed = [state_term(st) for st in states if not st[1] and st[0] == phi]
             reference.extend(sorted(closed, key=print_term))
             if size == n:
                 break
-        assert enumerate_inhabitants(phi, n) == reference
+        assert enumerate_inhabitants(phi, n) == reference, print_formula(phi)
+
+
+def _signs(phi, sign=True, out=None):
+    """(positive, negative) subformulas of phi, by recursion."""
+    out = (set(), set()) if out is None else out
+    out[0 if sign else 1].add(phi)
+    if isinstance(phi, Imp):
+        _signs(phi.antecedent, not sign, out)
+        _signs(phi.consequent, sign, out)
+    return out
+
+
+def test_level_one_holds_the_variables_an_abstraction_can_bind():
+    # a variable of a closed normal term is bound by an abstraction, whose
+    # type is a positive arrow of phi; the variable is kept if its type is
+    # positive or an arrow, as every term is. Without polarity every
+    # subformula gets a variable
+    pruned = 0
+    for phi in formula_corpus(4, (A, B, C)) + [parse_formula(t) for t, _ in PRUNED_BY_BINDER_RULE]:
+        positive, negative = _signs(phi)
+        kept = positive | {f for f in negative if isinstance(f, Imp)}
+        binders = {f.antecedent for f in positive if isinstance(f, Imp)}
+        level = next(_levels(phi, 1))[1]
+        assert len(level) == len({st[0] for st in level})
+        assert all(st == (st[0], (st[0],)) for st in level)
+        assert {st[0] for st in level} == binders & kept
+        pruned += bool(negative & kept - binders)
+        unpruned = next(_levels(phi, 1, polarity=False))[1]
+        assert {st[0] for st in unpruned} == positive | negative
+    # the rule prunes a variable on 2 189 of these 3 875 formulas
+    assert pruned == 2189
 
 
 def test_applications_look_up_arguments_by_type(monkeypatch):

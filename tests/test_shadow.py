@@ -28,7 +28,7 @@ from ticket.compact import (
     root_shadow,
     shadow_of,
 )
-from ticket.formula import parse_formula
+from ticket.formula import parse_formula, print_formula
 from ticket.oracle import bounded_decide, enumerate_inhabitants, state_term
 from ticket.shadow import (
     DecideConfig,
@@ -235,9 +235,10 @@ def test_config_validation():
     [
         # the shadow search does not finish on this theorem
         ("(((b->b)->b->b)->b)->(b->b)->b", "shadow", 10),
-        # the oracle finds no witness of at most 20 nodes, and takes about
-        # 9 s on a 2-core VM to rule them all out
-        ("((c->c)->c->c)->c->c", "bounded", 20),
+        # a non-theorem: the oracle finds no witness of at most 24 nodes,
+        # and is still building states after 5 s on a 2-core VM (its 22-node
+        # levels take about 1 s)
+        ("c->(c->c)->c->c", "bounded", 24),
     ],
     ids=["shadow", "bounded"],
 )
@@ -322,11 +323,35 @@ def test_time_budget_holds_while_terms_are_built():
     # and building and ordering the 7001 solutions' terms the rest
     phi = parse_formula(PAIRS)
     t0 = time.monotonic()
-    d = decide(phi, DecideConfig(engine="shadow", time_budget=0.3))
-    seconds = time.monotonic() - t0
-    assert d.verdict == "ResourceExhausted"
-    assert d.stats["time_budget_hit"] is True
-    assert seconds < 0.45
+    with pytest.raises(TimeoutError):
+        _Solver(phi, t0 + 0.3).solve()
+    assert time.monotonic() - t0 < 0.45
+
+
+def test_shadow_decide_builds_terms_only_for_its_smallest_solutions(monkeypatch):
+    # `decide` counts nodes on the states: of the 7001 solutions here, from
+    # 2 to 59 nodes, it builds the term of the one 2-node solution only
+    phi = parse_formula(PAIRS)
+    built = []
+
+    def term(state, memo):
+        built.append(state)
+        return state_term(state, memo)
+
+    monkeypatch.setattr(ticket.shadow, "state_term", term)
+    d = decide(phi, DecideConfig(engine="shadow"))
+    assert print_term(d.witness_lambda) == "\\x1:(c->c->c)->c. x1"
+    assert (d.stats["witnesses"], len(built)) == (7001, 1)
+
+
+def test_shadow_witness_and_count_match_solve():
+    for phi in formula_corpus():
+        d = decide(phi, DecideConfig(engine="shadow", time_budget=5))
+        if d.verdict == "ResourceExhausted" and d.stats["exhausted_by"] == "time":
+            continue
+        terms = _Solver(phi).solve()
+        assert d.stats["witnesses"] == len(terms), print_formula(phi)
+        assert d.witness_lambda == (terms[0] if terms else None), print_formula(phi)
 
 
 def test_time_budget_holds_on_many_free_variables():
@@ -470,30 +495,31 @@ def _late_time(late: int = 1) -> SimpleNamespace:
 
 
 def test_timed_out_oracle_keeps_its_count(monkeypatch):
-    # by level, the oracle builds 5, 0, 2, 0, 2, 2, 1 and 1 states up to
+    # by level, the oracle builds 3, 0, 1, 0, 2, 2, 1 and 1 states up to
     # its 8-node witness. Stopped at its first deadline check, it has built
-    # the 5 variables of size 1; stopped at its seventh, those and one of
-    # the 2 states of size 3
+    # the 3 variables of size 1, at the antecedents p, p->x and x->y of
+    # phi's positive arrows; stopped at its eighth, those, the states of
+    # sizes 3 and 5 and one of the 2 states of size 6
     phi = parse_formula("(x->y)->((p->x)->(p->y))")
-    assert decide(phi, DecideConfig("bounded")).stats["terms"] == 13
+    assert decide(phi, DecideConfig("bounded")).stats["terms"] == 10
     d = decide(phi, DecideConfig("bounded", 1e-9))
     assert d.verdict == "ResourceExhausted"
-    assert (d.stats["step"], d.stats["exhausted_by"], d.stats["terms"]) == ("bounded", "time", 5)
-    monkeypatch.setattr(ticket.oracle, "time", _late_time(7))
+    assert (d.stats["step"], d.stats["exhausted_by"], d.stats["terms"]) == ("bounded", "time", 3)
+    monkeypatch.setattr(ticket.oracle, "time", _late_time(8))
     d = decide(phi, DecideConfig("bounded", 60.0))
-    assert (d.stats["exhausted_by"], d.stats["terms"]) == ("time", 6)
+    assert (d.stats["exhausted_by"], d.stats["terms"]) == ("time", 7)
 
 
 @pytest.mark.parametrize("step", ["countermodel", "bounded", "shadow"])
 def test_auto_timeout_names_the_step(monkeypatch, step):
-    # the step's deadline check fires: the sweep, which reads no clock, is
-    # made to overrun the budget, the oracle to read a clock past every
+    # the step's deadline check fires: the sweep is made to overrun the
+    # budget after its last check, the oracle to read a clock past every
     # deadline, and the shadow search to raise as at a check
     if step == "countermodel":
         real = ticket.shadow.refute
 
-        def slow_refute(phi):
-            out = real(phi)
+        def slow_refute(phi, deadline):
+            out = real(phi, deadline)
             time.sleep(0.02)
             return out
 
@@ -501,7 +527,7 @@ def test_auto_timeout_names_the_step(monkeypatch, step):
     elif step == "bounded":
         monkeypatch.setattr(ticket.oracle, "time", _late_time())
     else:
-        monkeypatch.setattr(ticket.shadow._Solver, "solve", _out_of_time)
+        monkeypatch.setattr(ticket.shadow._Solver, "sols", _out_of_time)
     # a non-theorem with no 3-valued countermodel and no witness, so the
     # auto engine reaches every step
     d = decide(parse_formula("((c->c)->c)->c"), DecideConfig(time_budget=0.01))
