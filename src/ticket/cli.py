@@ -16,7 +16,8 @@ Subcommands:
   corpus FILE      decide every formula in FILE (one per line); with the
                    auto engine the bounded and shadow verdicts and the
                    countermodel search are cross checked, and a shadow
-                   Empty without a countermodel is flagged no-countermodel;
+                   Empty without a countermodel is flagged no-countermodel
+                   (a search cut by --time-budget is ResourceExhausted);
                    exit 0 iff no disagreement, 2 on bad input
 
 The command line is read by `read_argv`, a plain function over the table
@@ -53,6 +54,7 @@ import json
 import math
 import os
 import sys
+import time
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -130,17 +132,13 @@ def _decision_payload(phi, d: Decision) -> dict:
     return {
         "formula": print_formula(phi),
         "verdict": d.verdict,
-        "witness_lambda": (
-            print_term(d.witness_lambda) if d.witness_lambda is not None else None
-        ),
+        "witness_lambda": print_term(d.witness_lambda) if d.witness_lambda is not None else None,
         "witness_combinator": (
             derivation_to_json(d.witness_combinator)
             if d.witness_combinator is not None
             else None
         ),
-        "countermodel": (
-            countermodel_to_json(d.countermodel) if d.countermodel is not None else None
-        ),
+        "countermodel": countermodel_to_json(d.countermodel) if d.countermodel is not None else None,
         "stats": stats,
     }
 
@@ -252,7 +250,11 @@ def cmd_corpus(args) -> int:
     for _, phi in formulas:
         verdicts = {name: decide(phi, cfg).verdict for name, cfg in configs.items()}
         if args.engine == "auto":
-            verdicts["countermodel"] = "none" if refute(phi) is None else "Empty"
+            deadline = time.monotonic() + (args.time_budget or math.inf)
+            try:
+                verdicts["countermodel"] = "none" if refute(phi, deadline) is None else "Empty"
+            except TimeoutError:
+                verdicts["countermodel"] = "ResourceExhausted"
         # bounded never claims Empty, so the only hard conflict is
         # Inhabited on one engine against Empty from the shadow engine or a
         # countermodel. A shadow Empty without a countermodel is no
@@ -262,9 +264,7 @@ def cmd_corpus(args) -> int:
         unrefuted_here = verdicts.get("countermodel") == "none" and verdicts["shadow"] == "Empty"
         unrefuted += unrefuted_here
         cells = "  ".join(f"{name}={verdict}" for name, verdict in verdicts.items())
-        flags = ("  DISAGREE" if conflict else "") + (
-            "  no-countermodel" if unrefuted_here else ""
-        )
+        flags = "  DISAGREE" * conflict + "  no-countermodel" * unrefuted_here
         print(f"{print_formula(phi)}  {cells}{flags}")
     summary = f"# {len(formulas)} formulas, {disagreements} disagreements"
     if args.engine == "auto":

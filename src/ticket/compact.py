@@ -46,7 +46,7 @@ from .blueprint import (
 from .combinators import Axiom, CombDerivation, check_derivation
 from .formula import Formula, Imp, subformulas
 from .oracle import _hits, _levels
-from .shadow import _Solver
+from .shadow import _comb_universe, _patterns, _Solver
 from .terms import (
     Address,
     App,
@@ -777,30 +777,40 @@ class Enumeration:
     stats: dict[str, int] = field(default_factory=dict)
 
 
+def _comb_tags(
+    chi: tuple[Formula, ...], constraints: frozenset, subs: list[Formula]
+) -> tuple[Formula, ...] | None:
+    """Spine tags, over subs, of the comb that `_Solver._feasible` admits for
+    chi under the constraints: those of the first finest tag pattern whose
+    graft closure misses every constraint (distinct tags when there are
+    enough subformulas), or None if none does."""
+    k = max(0, len(chi) - 1)
+    for pattern in _patterns(k, min(k, len(subs))):
+        if not (constraints and _comb_universe(chi, pattern) & constraints):
+            return tuple(subs[c] for c in pattern)
+    return None
+
+
 def _solution_shadow(solver: _Solver, m: Term) -> Shadow:
     """The shadow the solver's search gave the solution m: walking m top-down
     with the ancestor history, each node is labelled with its free types in
-    rank order (chi), its type (psi) and a canonical comb gamma: the leaf of
-    its one free type at a variable, elsewhere the comb on the spine tags
-    whose feasibility test admitted the node. Only here are the combs built;
-    the search itself keeps no blueprint."""
+    rank order (chi), its type (psi) and a canonical comb gamma on the spine
+    tags of `_comb_tags` (a leaf at a variable); the search keeps no comb."""
     mapping: dict[Address, ShadowLabel] = {}
     stack: list[tuple[Address, Term, frozenset]] = [((), m, frozenset())]
     while stack:
         a, t, hist = stack.pop()
         chi = tuple(v.var_type for v in free_vars(t))
         psi = type_of(t)
-        if isinstance(t, Var):
-            mapping[a] = ShadowLabel(chi, canonicalize(_comb(chi, ())), psi)
-            continue
-        arity = 1 if isinstance(t, Lam) else 2
-        tags = solver._tags(chi, arity, psi, hist)
+        arity = {Var: 0, Lam: 1, App: 2}[type(t)]
+        constraints = frozenset(c for (r, p, c) in hist if r == arity and p == psi)
+        tags = _comb_tags(chi, constraints, solver.subs)
         assert tags is not None, "the solver admitted this node"
         mapping[a] = ShadowLabel(chi, canonicalize(_comb(chi, tags)), psi)
         child_hist = hist | {(arity, psi, chi)}
         if isinstance(t, Lam):
             stack.append((a + (1,), t.body, child_hist))
-        else:
+        elif isinstance(t, App):
             stack.append((a + (1,), t.fn, child_hist))
             stack.append((a + (2,), t.arg, child_hist))
     return make_shadow(mapping)

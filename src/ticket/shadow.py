@@ -8,13 +8,15 @@ one search recursion. The explicit shadows that the lemma checks use are
 derived from it in `ticket.compact`; this module imports neither `compact`
 nor `blueprint`.
 
-The search works on a quotient: states carry the (arity, chi, psi)
-labeling plus one witness blueprint per node. Ancestor/descendant compactness
+The search works on a quotient: a node is its (arity, chi, psi) label, and
+its witness blueprint need only exist. Ancestor/descendant compactness
 constrains a node only through its own blueprint and the ancestors' chi
 sequences, so witnesses can be chosen per node. The chosen witness is a
 right-leaf comb realizing exactly the chi sequence; when its spine tags can
 be made pairwise distinct its graft closure is minimal, which makes the
-pruning test exact. The search keeps only the spine tags, never the comb.
+pruning test exact. Splitting a tag class only removes grafts, so the test
+tries only the finest tag patterns and answers a plain bool: the search
+keeps neither tags nor combs.
 Labels are further restricted to the combinations a term can induce (leaf =
 variable, unary = abstraction, binary = application with an order-preserving
 free-variable merge); every shadow of a compact inhabitant satisfies these,
@@ -43,8 +45,9 @@ from .terms import Term, free_splits, node_count, print_term
 
 # Fixed limits of the shadow search. MAX_SHADOW_NODES bounds the length of a
 # node's ancestor history (`len(hist)`, the depth); tripping it clears
-# `complete`. MAX_LABEL_CANDIDATES bounds the spine-tag patterns one
-# feasibility test tries; running out clears `exact`.
+# `complete`. MAX_LABEL_CANDIDATES bounds the finest spine-tag patterns one
+# feasibility test tries (S(n - 1, s) for n - 1 tags over s subformulas);
+# running out clears `exact`.
 MAX_SHADOW_NODES = 40
 MAX_LABEL_CANDIDATES = 20_000
 
@@ -72,53 +75,22 @@ def _comb_universe(
     return contraction_closure(frozenset(l for l, _ in seen))
 
 
-def _patterns(length: int, max_classes: int):
-    """Restricted-growth strings with a bounded number of classes."""
+def _patterns(length: int, classes: int):
+    """Restricted-growth strings with exactly `classes` classes, in order."""
 
     def go(prefix: list[int], used: int):
+        if used + length - len(prefix) < classes:
+            # too few places left for the classes not yet used
+            return
         if len(prefix) == length:
             yield tuple(prefix)
             return
-        for c in range(min(used + 1, max_classes)):
+        for c in range(min(used + 1, classes)):
             prefix.append(c)
             yield from go(prefix, max(used, c + 1))
             prefix.pop()
 
     yield from go([], 0)
-
-
-def _feasible_tags(
-    chi: tuple[Formula, ...],
-    constraints: frozenset[tuple[Formula, ...]],
-    subs: list[Formula],
-    deadline: float = math.inf,
-) -> tuple[tuple[Formula, ...] | None, bool]:
-    """Spine tags, over subs, of a right-leaf comb (`compact._comb`) with chi
-    in its F and no constraint sequence in the union of F over its graft
-    closure, and whether the answer is exact. The tags are None if no such
-    comb exists (exact) or none was found within MAX_LABEL_CANDIDATES tag
-    patterns (inexact). One test can try thousands of patterns, so it raises
-    TimeoutError once `time.monotonic()` passes `deadline`."""
-    n = len(chi)
-    if constraints and constraints & contraction_closure(frozenset({chi})):
-        # every admissible gamma has F containing all contractions of chi
-        return None, True
-    s = len(subs)
-    if n - 1 <= s:
-        return tuple(subs[: max(0, n - 1)]), True
-    if not constraints:
-        # the first pattern the loop would try, all tags equal, fits
-        return (subs[0],) * (n - 1), True
-    count = 0
-    for pattern in _patterns(n - 1, s):
-        count += 1
-        if count > MAX_LABEL_CANDIDATES:
-            return None, False
-        if time.monotonic() > deadline:
-            raise TimeoutError
-        if not (_comb_universe(chi, pattern) & constraints):
-            return tuple(subs[c] for c in pattern), True
-    return None, False
 
 
 # --- compact-shadow search ---------------------------------------------------
@@ -191,12 +163,12 @@ class _Solver:
         if chi == (psi,):
             out.append((psi, chi))
         if isinstance(psi, Imp) and not fn_position:
-            if self._tags(chi, 1, psi, hist) is not None:
+            if self._feasible(chi, 1, psi, hist):
                 child_hist = hist | {(1, psi, chi)}
                 body_chi = chi + (psi.antecedent,)
                 for body in self.sols(body_chi, psi.consequent, child_hist, False):
                     out.append((psi, chi, body))
-        if self._tags(chi, 2, psi, hist) is not None:
+        if self._feasible(chi, 2, psi, hist):
             child_hist = hist | {(2, psi, chi)}
             r = len(chi)
             for psi2, fn_type in self.fn_types.get(psi, ()):
@@ -228,17 +200,32 @@ class _Solver:
                             out.append((psi, chi, fn, arg, pos1, pos2, r))
         return out
 
-    def _tags(
-        self, chi: tuple[Formula, ...], arity: int, psi: Formula, hist: frozenset
-    ) -> tuple[Formula, ...] | None:
-        """Spine tags of a comb gamma for a node labelled (arity, psi, chi)
-        below the given ancestor history, or None when the node is not
-        feasible; a None that is not a proof clears exact."""
+    def _feasible(self, chi: tuple[Formula, ...], arity: int, psi: Formula, hist: frozenset) -> bool:
+        """Whether a node labelled (arity, psi, chi) below the ancestor history
+        has a comb witness: a right-leaf comb (`compact._comb`) with chi in
+        its F and no constraint (the chi of an ancestor labelled (arity,
+        psi)) in the union of F over its graft closure. Only the finest
+        spine-tag patterns are tried, at most MAX_LABEL_CANDIDATES of them; a
+        False that is not a proof clears `exact`. One test can try thousands
+        of patterns, so the deadline is checked per pattern."""
         constraints = frozenset(c for (r, p, c) in hist if r == arity and p == psi)
-        tags, exact = _feasible_tags(chi, constraints, self.subs, self.deadline)
-        if not exact:
-            self.exact = False
-        return tags
+        if not constraints:
+            return True
+        if constraints & contraction_closure(frozenset({chi})):
+            # every admissible gamma has F containing all contractions of chi
+            return False
+        n, s = len(chi), len(self.subs)
+        if n - 1 <= s:  # distinct spine tags allow no graft
+            return True
+        for count, pattern in enumerate(_patterns(n - 1, s)):
+            if count == MAX_LABEL_CANDIDATES:
+                break
+            if time.monotonic() > self.deadline:
+                raise TimeoutError
+            if not (_comb_universe(chi, pattern) & constraints):
+                return True
+        self.exact = False
+        return False
 
 
 # --- the decision procedure -------------------------------------------------
@@ -248,7 +235,9 @@ class DecideConfig(Record):
     time of one `decide` call; None means no limit. The budget is checked
     inside the searches, so it works from any thread. Every other limit is a
     module constant: `oracle.MAX_ORACLE_NODES` for the oracle's witness size,
-    `MAX_SHADOW_NODES` and `MAX_LABEL_CANDIDATES` for the shadow search."""
+    `MAX_SHADOW_NODES` and `MAX_LABEL_CANDIDATES` (the finest tag patterns a
+    feasibility test tries; the search keeps neither tags nor combs) for the
+    shadow search."""
 
     __slots__ = ("engine", "time_budget")
 

@@ -377,6 +377,30 @@ def test_corpus_budget_holds_on_many_free_variables(tmp_path):
     assert "0 disagreements" in proc.stdout
 
 
+def _random_formula_text(rng, arrows, atoms):
+    if arrows == 0:
+        return rng.choice(atoms)
+    k = rng.randrange(arrows)
+    left, right = _random_formula_text(rng, k, atoms), _random_formula_text(rng, arrows - 1 - k, atoms)
+    return f"({left})->{right}"
+
+
+def test_corpus_countermodel_search_keeps_to_the_budget(tmp_path):
+    # the countermodel sweep alone takes seconds on a random 20 000-arrow
+    # formula over 8 atoms; under the budget it stops, and says so rather
+    # than print none, and a cut sweep is no disagreement; the hard timeout
+    # makes a regression fail instead of hang
+    path = tmp_path / "big.txt"
+    path.write_text(_random_formula_text(random.Random(SEED), 20_000, "abcdefgh") + "\n")
+    t0 = time.monotonic()
+    proc = _cli("corpus", str(path), "--time-budget", "0.2", timeout=30)
+    assert time.monotonic() - t0 < 3
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert lines[0].endswith("shadow=ResourceExhausted  countermodel=ResourceExhausted")
+    assert lines[1] == "# 1 formulas, 0 disagreements, 0 no-countermodel"
+
+
 def test_time_budget_takes_fractions_of_a_second(capsys):
     code, out, _ = run(capsys, "decide", "a->a", "--time-budget", "0.5")
     assert code == 0
@@ -650,7 +674,7 @@ def test_corpus_flags_countermodels(capsys, tmp_path):
 
 
 def test_corpus_countermodel_for_inhabited_disagrees(capsys, tmp_path, monkeypatch):
-    def bogus(phi):
+    def bogus(phi, deadline=math.inf):
         return Decision("Empty", None, None, {"engine": "countermodel"})
 
     monkeypatch.setattr(ticket.cli, "refute", bogus)

@@ -20,6 +20,7 @@ from ticket.combinators import check_derivation
 from ticket.compact import (
     ShadowLabel,
     _comb,
+    _comb_tags,
     enumerate_compact_shadows,
     inhabitant_with_domain,
     is_compact_shadow,
@@ -32,7 +33,7 @@ from ticket.formula import parse_formula, print_formula
 from ticket.oracle import bounded_decide, enumerate_inhabitants, state_term
 from ticket.shadow import (
     DecideConfig,
-    _feasible_tags,
+    _comb_universe,
     _patterns,
     _Solver,
     decide,
@@ -406,44 +407,120 @@ def test_no_search_hashes_a_term(monkeypatch):
             decide(phi, DecideConfig(engine=engine, time_budget=0.2))
 
 
+def _hist(arity, psi, constraints):
+    """An ancestor history whose (arity, psi) entries have the given chis."""
+    return frozenset((arity, psi, c) for c in constraints)
+
+
 def test_feasibility_test_checks_the_deadline():
     # one feasibility test can try MAX_LABEL_CANDIDATES tag patterns (one
     # ran for about 19 s on ((b->c->a)->a)->a->a), so the deadline is
     # checked per pattern, not only per search node
-    chi, constraints = (a, a, a), frozenset({(Atom("b"),)})
-    assert _feasible_tags(chi, constraints, [a]) == ((a, a), True)
+    chi, hist = (a, a, a), _hist(2, a, [(Atom("b"),)])
+    assert _Solver(a)._feasible(chi, 2, a, hist) is True
     with pytest.raises(TimeoutError):
-        _feasible_tags(chi, constraints, [a], deadline=0.0)
+        _Solver(a, deadline=0.0)._feasible(chi, 2, a, hist)
 
 
 def test_unconstrained_feasibility_computes_no_closure(monkeypatch):
-    # with no constraint the first tag pattern fits: distinct tags when
-    # there are enough subformulas, else all tags equal to the first
+    # with no constraint every node is feasible, and no closure is computed;
+    # neither is one for the tags of the first finest pattern, which
+    # `_comb_tags` gives: distinct tags when there are enough subformulas
     def closure(seqs):
         raise AssertionError("contraction_closure called")
 
     monkeypatch.setattr(ticket.shadow, "contraction_closure", closure)
     b, c = Atom("b"), Atom("c")
     none = frozenset()
-    assert _feasible_tags((), none, [a]) == ((), True)
-    assert _feasible_tags((a, b, c), none, [a, b, c]) == ((a, b), True)
-    assert _feasible_tags((a, b, c), none, [c, a]) == ((c, a), True)
-    assert _feasible_tags((a, b, c, a), none, [c, a]) == ((c, c, c), True)
+    solver = _Solver(parse_formula("a->a"))
+    for chi in [(), (a, b, c), (a, b, c, a), (a,) * 9]:
+        assert solver._feasible(chi, 1, a, none) is True
+        assert solver._feasible(chi, 2, a, _hist(1, a, [chi])) is True
+    assert solver.exact
+    assert _comb_tags((), none, [a]) == ()
+    assert _comb_tags((a, b, c), none, [a, b, c]) == (a, b)
+    assert _comb_tags((a, b, c), none, [c, a]) == (c, a)
+    assert _comb_tags((a, b, c, a), none, [c, a]) == (c, c, a)
 
 
 def test_label_candidate_cap_makes_the_search_inexact(monkeypatch):
-    # the comb with tags a, b, a, the third pattern tried, is the first
-    # whose graft closure misses (a, a, b); with two candidates allowed the
-    # test gives up, and says so
+    # the comb with tags a, b, a, the second finest pattern tried, is the
+    # first whose graft closure misses (a, a, b); with one candidate
+    # allowed the test gives up, and says so
     b = Atom("b")
     chi, constraints = (a, b, a, b), frozenset({(a, a, b)})
-    assert _feasible_tags(chi, constraints, [a, b]) == ((a, b, a), True)
-    monkeypatch.setattr(ticket.shadow, "MAX_LABEL_CANDIDATES", 2)
-    assert _feasible_tags(chi, constraints, [a, b]) == (None, False)
+    assert _comb_tags(chi, constraints, [a, b]) == (a, b, a)
+    # a->a has two subformulas, as many tags as [a, b]
+    hist = _hist(2, a, constraints)
+    assert _Solver(parse_formula("a->a"))._feasible(chi, 2, a, hist) is True
+    monkeypatch.setattr(ticket.shadow, "MAX_LABEL_CANDIDATES", 1)
+    solver = _Solver(parse_formula("a->a"))
+    assert solver._feasible(chi, 2, a, hist) is False
+    assert solver.exact is False
     d = decide(parse_formula("((a->b->a)->a)->a"), DecideConfig(engine="shadow"))
     assert d.verdict == "ResourceExhausted"
     assert (d.stats["step"], d.stats["exhausted_by"]) == ("shadow", "label_candidates")
     assert d.stats["closure_complete"] is True and d.stats["closure_exact"] is False
+
+
+def _coarse_universes(chi, max_classes):
+    """(classes, graft-closure universe) for every spine-tag pattern of chi's
+    comb with at most max_classes classes, each pattern written as a
+    restricted-growth string."""
+    out = []
+    for tags in itertools.product(range(max_classes), repeat=max(0, len(chi) - 1)):
+        if all(t <= max(tags[:i], default=-1) + 1 for i, t in enumerate(tags)):
+            out.append((len(set(tags)), _comb_universe(chi, tags)))
+    return out
+
+
+def test_finest_tag_patterns_lose_nothing():
+    # a coarser pattern allows every graft a finer one does, so a comb fits
+    # with some pattern of at most s classes iff one fits with exactly
+    # min(n - 1, s): the feasibility test agrees with trying every pattern
+    # on every chi of length 1-6 over a, b, c, for s = 1..4 subformulas
+    b, c = Atom("b"), Atom("c")
+    constraint_sets = [
+        frozenset(cs)
+        for cs in (
+            [(a,)],
+            [(a, a)],
+            [(a, b)],
+            [(a, a, b)],
+            [(b, a), (c,)],
+            [(a, b, a), (b, c)],
+        )
+    ]
+    solvers = {s: _Solver(parse_formula("->".join("a" * s))) for s in range(1, 5)}
+    assert [len(solver.subs) for solver in solvers.values()] == [1, 2, 3, 4]
+    cases, outcomes = 0, collections.Counter()
+    for n in range(1, 7):
+        for chi in itertools.product((a, b, c), repeat=n):
+            universes = _coarse_universes(chi, 4)
+            for s, solver in solvers.items():
+                for constraints in constraint_sets:
+                    any_fits = any(not (u & constraints) for k, u in universes if k <= s)
+                    assert solver._feasible(chi, 2, a, _hist(2, a, constraints)) == any_fits
+                    outcomes[any_fits] += 1
+                    cases += 1
+    assert cases == 26_208
+    assert outcomes[True] and outcomes[False]
+
+
+def test_shadow_search_over_the_census_is_pinned():
+    # the search alone on every formula of at most 4 arrows over a, b, c;
+    # it is quick because the feasibility test tries only the finest
+    # tag patterns
+    expanded = solutions = solved = inexact = incomplete = 0
+    for phi in formula_corpus(4, (a, Atom("b"), Atom("c"))):
+        solver = _Solver(phi)
+        states = solver.sols((), phi, frozenset(), False)
+        expanded += solver.expanded
+        solutions += len(states)
+        solved += bool(states)
+        inexact += not solver.exact
+        incomplete += not solver.complete
+    assert (expanded, solutions, solved, inexact, incomplete) == (467_817, 30, 21, 18, 0)
 
 
 def test_caps_resource_exhaustion(monkeypatch):
@@ -598,7 +675,7 @@ def test_two_stage_split_matches_product():
     atoms = [Atom("a"), Atom("b"), Atom("c")]
     checked = 0
     for r in range(7):
-        for pattern in _patterns(r, 3):
+        for pattern in (p for k in range(4) for p in _patterns(r, k)):
             chi = tuple(atoms[c] for c in pattern)
             product = _product_splits(chi)
             two_stage = _two_stage_splits(chi)
