@@ -327,31 +327,49 @@ def relative_depth(b: Blueprint) -> int:
 Struct = tuple
 
 
-def _struct_of_rooted(b: Blueprint) -> Struct:
-    root = b.get(())
-    if isinstance(root, Leaf):
-        return ("L", formula_sort_key(root.formula), root.formula)
-    assert isinstance(root, AppTag)
-    left = tuple(sorted(_struct_of_rooted(c) for _, c in components(subtree_at(b, (1,)))))
-    right = tuple(sorted(_struct_of_rooted(c) for _, c in components(subtree_at(b, (2,)))))
-    return ("A", formula_sort_key(root.formula), root.formula, left, right)
-
-
 def struct_of(b: Blueprint) -> tuple[Struct, ...]:
     """Sorted multiset of rooted component structures; equal iff blueprints
-    are equivalent (permutation, re-addressing, flattening)."""
-    return tuple(sorted(_struct_of_rooted(c) for _, c in components(b)))
+    are equivalent (permutation, re-addressing, flattening). One pass over
+    the address-sorted entries: a component's entries follow its root, its
+    left region first."""
+    entries = b.entries
 
+    def region(i: int, base: Address) -> tuple[tuple[Struct, ...], int]:
+        # the components under base from entry i on, and the entry after them
+        out = []
+        while i < len(entries) and entries[i][0][: len(base)] == base:
+            a, label = entries[i]
+            key = (formula_sort_key(label.formula), label.formula)
+            if isinstance(label, Leaf):
+                out.append(("L", *key))
+                i += 1
+            else:
+                left, i = region(i + 1, a + (1,))
+                right, i = region(i, a + (2,))
+                out.append(("A", *key, left, right))
+                # descendants outside both regions are no part of the structure
+                while i < len(entries) and entries[i][0][: len(a)] == a:
+                    i += 1
+        return tuple(sorted(out)), i
 
-def _build_rooted(s: Struct) -> Blueprint:
-    if s[0] == "L":
-        return leaf(s[2])
-    return app(s[2], _build_region(s[3]), _build_region(s[4]))
+    return region(0, ())[0]
 
 
 def _build_region(structs: tuple[Struct, ...]) -> Blueprint:
-    built = [_build_rooted(s) for s in structs]
-    return built[0] if len(built) == 1 else star(built)
+    """The blueprint of a canonical region, one component at the origin or
+    several at (1)..(k), built from its address-sorted entries at once."""
+    entries: list[tuple[Address, Label]] = []
+
+    def region(group: tuple[Struct, ...], at: Address) -> None:
+        for k, s in enumerate(group, 1):
+            here = at if len(group) == 1 else at + (k,)
+            entries.append((here, Leaf(s[2]) if s[0] == "L" else AppTag(s[2])))
+            if s[0] == "A":
+                region(s[3], here + (1,))
+                region(s[4], here + (2,))
+
+    region(structs, ())
+    return Blueprint(tuple(entries))
 
 
 def canonicalize(b: Blueprint) -> Blueprint:

@@ -41,8 +41,9 @@ flags produce identical bytes, with or without `--trace`, except where a
 `--time-budget` runs out. A `ResourceExhausted` verdict on `time` carries
 the counts the search reached (`expanded`, `terms`), which depend on the
 speed of the machine; near the budget, the verdict itself does too. Times (the
-wall time and each step's) are reported only by `--trace`, which prints
-every stat as a `  # key = value` line on stderr in both modes. The
+wall time and each step's: `Decision.times`) are reported only by `--trace`,
+which prints them and every stat, by key, as `  # key = value` lines on
+stderr in both modes. The
 `countermodel` key is null or an object with sorted keys. `decide --json`
 writes its payload in one pass over it (`_encode`), the bytes that
 `json.dumps` with sorted keys and compact separators writes, without
@@ -88,10 +89,6 @@ _VERDICT_EXIT = {
     "ResourceExhausted": EXIT_EXHAUSTED,
 }
 
-# the stats that hold times, which only --trace prints
-_TIMES = frozenset(["wall_time", "time_countermodel", "time_bounded", "time_shadow", "time_extract"])
-
-
 def _encode(value, out: list[str]) -> None:
     """Append to `out` the JSON text of `value`, as `json.dumps(value,
     sort_keys=True, separators=(",", ":"))` writes it, for the kinds a
@@ -128,7 +125,6 @@ def _encode(value, out: list[str]) -> None:
 
 
 def _decision_payload(phi, d: Decision) -> dict:
-    stats = {k: v for k, v in d.stats.items() if k not in _TIMES}
     return {
         "formula": print_formula(phi),
         "verdict": d.verdict,
@@ -139,7 +135,7 @@ def _decision_payload(phi, d: Decision) -> dict:
             else None
         ),
         "countermodel": countermodel_to_json(d.countermodel) if d.countermodel is not None else None,
-        "stats": stats,
+        "stats": d.stats,
     }
 
 
@@ -169,8 +165,8 @@ def cmd_decide(args) -> int:
     else:
         _print_decision_text(phi, d)
     if args.trace:
-        for k in sorted(d.stats):
-            print(f"  # {k} = {d.stats[k]}", file=sys.stderr)
+        for k, v in sorted({**d.stats, **d.times}.items()):
+            print(f"  # {k} = {v}", file=sys.stderr)
     return _VERDICT_EXIT[d.verdict]
 
 

@@ -45,7 +45,7 @@ from .blueprint import (
 )
 from .combinators import Axiom, CombDerivation, check_derivation
 from .formula import Formula, Imp, subformulas
-from .oracle import _hits, _levels
+from .oracle import enumerate_inhabitants
 from .shadow import _comb_universe, _patterns, _Solver
 from .terms import (
     Address,
@@ -840,13 +840,10 @@ def enumerate_compact_shadows(phi: Formula) -> Enumeration:
 def inhabitant_with_domain(phi: Formula, x: Shadow) -> Term | None:
     """First inhabitant with the shadow's tree domain and the shadow's psi
     label as its type at every address, derived from the oracle: the first
-    such term, by print, of the oracle's size-n level, n the domain size (only
-    n-node terms have an n-address domain)."""
-    n = len(x.domain)
+    such term of `enumerate_inhabitants` up to n nodes, n the domain size
+    (only n-node terms have an n-address domain)."""
     pins = {a: label.psi for a, label in x.entries}
-    levels = _levels(phi, n)
-    states = next(level for size, level in levels if size == n)
-    for m in _hits(phi, states):
+    for m in enumerate_inhabitants(phi, len(x.domain)):
         subterms = dict(addresses(m))
         if subterms.keys() == pins.keys() and all(
             type_of(t) == pins[a] for a, t in subterms.items()

@@ -20,14 +20,14 @@ psi, its free types chi in rank order, and its parts.
 term, and only for the states that search returns.
 
 The levels hold states, no state twice. The splits come from `_splits`;
-those for up to three free ranks are built at import. `_hits` builds the
-terms of the closed states of type phi only, sorted by print.
+those for up to three free ranks are built at import.
 
 Level 1 holds the variables in the order in which a depth-first walk from
 phi first meets their types (`_signed_subformulas`), so no subformula is
-printed to order it. Each larger level follows from the smaller ones in
-a fixed order, and `_hits` sorts what it returns, so witnesses and the
-order of `enumerate_inhabitants` do not depend on the order of a level.
+printed to order it. Each larger level follows from the smaller ones in a
+fixed order, and both searches sort what they return in one witness order,
+node count and then `print_term` (`witness_order`; `smallest` builds only
+the first), so witnesses do not depend on the order of a level.
 
 Only terms that can still close within the node bound are built. Merges
 place free ranks injectively, so a term of s nodes with p free variables
@@ -56,7 +56,7 @@ import time
 from typing import Iterator
 
 from .formula import Formula, Imp
-from .terms import App, Lam, Term, Var, VarRef, free_splits, place_canonical, print_term
+from .terms import App, Lam, Term, Var, VarRef, free_splits, node_count, place_canonical, print_term
 
 # The node bound of the oracle inside `decide`, which reads it at each call.
 MAX_ORACLE_NODES = 10
@@ -202,31 +202,60 @@ def state_term(state: tuple, built: dict[int, Term] | None = None) -> Term:
     return term
 
 
-def _hits(phi: Formula, states: list[tuple]) -> list[Term]:
-    """The terms of one level's closed states of type phi, by print."""
-    return sorted((state_term(st) for st in states if not st[1] and st[0] == phi), key=print_term)
+def smallest(states: list[tuple]) -> Term:
+    """The first term of the states in the witness order. Node counts are
+    read off the states, memoised by id as `state_term` memoises terms, so
+    that terms are built only for the states of the least count."""
+    counts: dict[int, int] = {}
+
+    def count(state: tuple) -> int:
+        n = counts.get(id(state))
+        if n is None:
+            # the parts of an abstraction or an application: its body, or
+            # its function and argument
+            n = counts[id(state)] = 1 + sum(map(count, state[2:4]))
+        return n
+
+    least = min(map(count, states))
+    built: dict[int, Term] = {}
+    return min((state_term(st, built) for st in states if count(st) == least), key=print_term)
+
+
+def witness_order(states: list[tuple], deadline: float = math.inf) -> list[Term]:
+    """The terms of the states in the witness order, (node count, print).
+    Each term, and each part that states share, is built once. Raises
+    TimeoutError once `time.monotonic()` passes `deadline`, checked per state."""
+    built: dict[int, Term] = {}
+    keyed = []
+    for state in states:
+        if time.monotonic() > deadline:
+            raise TimeoutError
+        t = state_term(state, built)
+        keyed.append((node_count(t), print_term(t), t))
+    return [t for _, _, t in sorted(keyed, key=lambda k: k[:2])]
 
 
 def enumerate_inhabitants(phi: Formula, max_nodes: int = MAX_ORACLE_NODES) -> list[Term]:
     """All alpha-canonical closed normal HRM terms of type phi with at most
-    max_nodes nodes, ordered by (size, canonical print)."""
-    return [m for _, states in _levels(phi, max_nodes) for m in _hits(phi, states)]
+    max_nodes nodes, in the witness order."""
+    levels = _levels(phi, max_nodes)
+    return witness_order([st for _, states in levels for st in states if not st[1] and st[0] == phi])
 
 
 def bounded_decide(
-    phi: Formula, max_nodes: int = MAX_ORACLE_NODES, deadline: float = math.inf, reached=None
+    phi: Formula, max_nodes: int = MAX_ORACLE_NODES, deadline: float = math.inf, stats=None
 ) -> Term | None:
     """Semi-decision: the smallest witness of at most max_nodes nodes, or
     None. Never claims emptiness. Stops at the first size that has an
     inhabitant and builds no larger term. Raises TimeoutError once
-    `time.monotonic()` passes `deadline`. Sets `reached["terms"]`, if
-    `reached` is a dict, to the number of states built, at a timeout too."""
+    `time.monotonic()` passes `deadline`. Sets `stats["terms"]`, if `stats`
+    is a dict, to the number of states built, at a timeout too."""
     by_size: dict[int, list[tuple]] = {}
     try:
         for _, states in _levels(phi, max_nodes, deadline, by_size=by_size):
-            if hits := _hits(phi, states):
-                return hits[0]
+            if hits := [st for st in states if not st[1] and st[0] == phi]:
+                return smallest(hits)
         return None
     finally:
-        if reached is not None:
-            reached["terms"] = sum(map(len, by_size.values()))
+        if stats is not None:
+            stats["terms"] = sum(map(len, by_size.values()))

@@ -1,4 +1,5 @@
-"""The decision core: the compact-shadow search (`_Solver`) and `decide`.
+"""The decision core: the compact-shadow search (`_Solver`) and `decide`,
+one loop over the steps of an engine (`_STEPS`).
 
 A shadow abstracts a normal inhabitant into a tree with the same domain,
 labeling every address with (free-variable type sequence, compressed
@@ -24,9 +25,14 @@ so no inhabited domain is lost.
 
 The search returns states, the tuples that say how a term is built (see
 `ticket.oracle`), and shares a sub-search's states among the nodes built
-on them. `solve` builds a term, with `oracle.state_term`, for each state
-of a solution of phi; `decide` builds one only for the solutions of the
-least node count, which it reads off the states.
+on them. `solve` builds the terms of all solutions of phi in the oracle's
+witness order (`oracle.witness_order`), and the shadow step of `decide`
+only the smallest (`oracle.smallest`).
+
+A step of `decide` is `step(phi, deadline, stats) -> (verdict, witness,
+countermodel) | None`; None hands phi to the next step. A step writes its
+counters into `stats` as soon as it has them, so that a timeout keeps them,
+and `exhausted_by` when its own limit stopped it.
 """
 from __future__ import annotations
 
@@ -39,9 +45,9 @@ from .combinators import CombDerivation, extract_combinator
 from .countermodel import MATRICES, Countermodel, check_countermodel, countermodel
 from .formula import Formula, Imp, contraction_closure, sorted_subformulas
 from . import oracle
-from .oracle import bounded_decide, state_term
+from .oracle import bounded_decide, smallest, witness_order
 from .record import Record, slot_setters
-from .terms import Term, free_splits, node_count, print_term
+from .terms import Term, free_splits
 
 # Fixed limits of the shadow search. MAX_SHADOW_NODES bounds the length of a
 # node's ancestor history (`len(hist)`, the depth); tripping it clears
@@ -117,20 +123,9 @@ class _Solver:
                 self.fn_types.setdefault(f.consequent, []).append((f.antecedent, f))
 
     def solve(self) -> tuple[Term, ...]:
-        """The inhabitants of phi that `sols` finds, smallest first, by
-        (node count, print). Each solution's term is built once, with its
-        sort key, and the deadline is checked per solution. The solutions
-        share sub-states, and each of those is built once too."""
-        states = self.sols((), self.phi, frozenset(), False)
-        built: dict[int, Term] = {}
-        keyed = []
-        for state in states:
-            if time.monotonic() > self.deadline:
-                raise TimeoutError
-            t = state_term(state, built)
-            keyed.append((node_count(t), print_term(t), t))
-        keyed.sort(key=lambda k: k[:2])
-        return tuple([t for _, _, t in keyed])
+        """The inhabitants of phi that `sols` finds, in the witness order
+        (`oracle.witness_order`, which checks the deadline per solution)."""
+        return tuple(witness_order(self.sols((), self.phi, frozenset(), False), self.deadline))
 
     def sols(
         self,
@@ -231,20 +226,20 @@ class _Solver:
 # --- the decision procedure -------------------------------------------------
 
 class DecideConfig(Record):
-    """`engine` picks the engine. `time_budget`, in seconds, bounds the wall
-    time of one `decide` call; None means no limit. The budget is checked
-    inside the searches, so it works from any thread. Every other limit is a
-    module constant: `oracle.MAX_ORACLE_NODES` for the oracle's witness size,
+    """`engine` picks the steps `decide` runs (`_STEPS`). `time_budget`, a
+    positive, finite number of seconds, bounds the wall time of one `decide`
+    call; None means no limit. The budget is checked inside the steps, so it
+    works from any thread. Every other limit is a module constant:
+    `oracle.MAX_ORACLE_NODES` for the oracle's witness size,
     `MAX_SHADOW_NODES` and `MAX_LABEL_CANDIDATES` (the finest tag patterns a
-    feasibility test tries; the search keeps neither tags nor combs) for the
-    shadow search."""
+    feasibility test tries) for the shadow search."""
 
     __slots__ = ("engine", "time_budget")
 
     def __init__(self, engine: str = "auto", time_budget: float | None = None) -> None:
-        if engine not in ("auto", "bounded", "shadow"):
+        if engine not in _STEPS:
             raise ValueError(f"unknown engine {engine!r}")
-        if time_budget is not None and not 0 < time_budget < math.inf:
+        if time_budget is True or time_budget is not None and not 0 < time_budget < math.inf:
             raise ValueError(f"time_budget must be positive and finite, got {time_budget}")
         _set_engine(self, engine)
         _set_time_budget(self, time_budget)
@@ -254,8 +249,8 @@ _set_engine, _set_time_budget = slot_setters(DecideConfig)
 
 
 class Decision:
-    """A verdict (Inhabited, Empty or ResourceExhausted), its evidence, and
-    the stats of the run that reached it."""
+    """A verdict (Inhabited, Empty or ResourceExhausted), its evidence, the
+    stats of the run that reached it, and its times in seconds."""
 
     def __init__(
         self,
@@ -264,157 +259,125 @@ class Decision:
         witness_combinator: CombDerivation | None,
         stats: dict[str, Any],
         countermodel: Countermodel | None = None,
+        times: dict[str, float] | None = None,
     ) -> None:
         self.verdict = verdict
         self.witness_lambda = witness_lambda
         self.witness_combinator = witness_combinator
         self.stats = stats
         self.countermodel = countermodel
+        self.times = {} if times is None else times
 
 
-def _inhabited(witness: Term, phi: Formula, stats: dict[str, Any]) -> Decision:
-    t0 = time.monotonic()
-    cert = extract_combinator(witness, phi)
-    stats["time_extract"] = time.monotonic() - t0
-    return Decision("Inhabited", witness, cert, stats)
-
-
-def _exhausted(stats: dict[str, Any], step: str, exhausted_by: str) -> Decision:
-    """ResourceExhausted, its stats naming the step that gave up and the
-    limit that stopped it."""
-    stats.update(step=step, exhausted_by=exhausted_by)
-    return Decision("ResourceExhausted", None, None, stats)
-
-
-def _decide_bounded(phi: Formula, deadline: float, reached: dict[str, Any]) -> Decision:
-    """The oracle's verdict. The count of states it built is left in
-    `reached`, for its own stats, a later step's and a timeout's, and so is
-    its time."""
-    t0 = time.monotonic()
-    try:
-        witness = bounded_decide(phi, oracle.MAX_ORACLE_NODES, deadline, reached)
-    finally:
-        reached["time_bounded"] = time.monotonic() - t0
-    stats: dict[str, Any] = {"engine": "bounded", **reached}
-    if witness is not None:
-        return _inhabited(witness, phi, stats)
-    return _exhausted(stats, "bounded", "max_oracle_nodes")
-
-
-def refute(phi: Formula, deadline: float = math.inf) -> Decision | None:
-    """Empty with a checked 3-valued countermodel, or None when none is
-    found. A countermodel that fails its check raises CountermodelError.
-    Raises TimeoutError once `time.monotonic()` passes `deadline`."""
+def refute(phi: Formula, deadline: float = math.inf) -> Countermodel | None:
+    """A checked 3-valued countermodel of phi, or None when none is found.
+    A countermodel that fails its check raises CountermodelError. Raises
+    TimeoutError once `time.monotonic()` passes `deadline`."""
     cm = countermodel(phi, deadline)
+    if cm is not None:
+        check_countermodel(cm, phi)
+    return cm
+
+
+def _countermodel(phi: Formula, deadline: float, stats: dict[str, Any]):
+    """Empty with a checked countermodel, found by the `matrices_tried`-th
+    matrix."""
+    cm = refute(phi, deadline)
     if cm is None:
+        # a budget spent after the sweep's last check ends here
+        if time.monotonic() > deadline:
+            raise TimeoutError
         return None
-    check_countermodel(cm, phi)
-    tried = MATRICES.index((cm.table, cm.designated)) + 1
-    return Decision("Empty", None, None, {"engine": "countermodel", "matrices_tried": tried}, cm)
+    stats["matrices_tried"] = MATRICES.index((cm.table, cm.designated)) + 1
+    return "Empty", None, cm
 
 
-def _smallest(states: list[tuple]) -> Term:
-    """The first term of the states by (node count, print), as `solve`
-    orders them. Node counts are read off the states, memoised by id as
-    `state_term` memoises terms, and a term is built only for the states of
-    the least count."""
-    counts: dict[int, int] = {}
-
-    def count(state: tuple) -> int:
-        n = counts.get(id(state))
-        if n is None:
-            # the parts of an abstraction or an application: its body, or
-            # its function and argument
-            n = counts[id(state)] = 1 + sum(map(count, state[2:4]))
-        return n
-
-    least = min(map(count, states))
-    built: dict[int, Term] = {}
-    return min((state_term(st, built) for st in states if count(st) == least), key=print_term)
+def _bounded(phi: Formula, deadline: float, stats: dict[str, Any]):
+    """Inhabited with the oracle's witness; `terms` counts the states it
+    built."""
+    witness = bounded_decide(phi, oracle.MAX_ORACLE_NODES, deadline, stats)
+    if witness is None:
+        stats["exhausted_by"] = "max_oracle_nodes"
+        return None
+    return "Inhabited", witness, None
 
 
-def _decide_shadow(phi: Formula, deadline: float, reached: dict[str, Any]) -> Decision:
-    """The shadow engine's verdict, its stats starting from the counts in
-    `reached`; `witnesses` is the number of solutions. If the deadline stops
-    the search, the count of nodes it expanded is left in `reached` for the
-    timeout's stats, and so is its time."""
-    t0 = time.monotonic()
+def _shadow(phi: Formula, deadline: float, stats: dict[str, Any]):
+    """Inhabited with the smallest of the shadow search's `witnesses`, or
+    Empty when the search was complete and exact. `expanded` counts the
+    nodes it expanded, at a timeout too."""
     solver = _Solver(phi, deadline)
     try:
         states = solver.sols((), phi, frozenset(), False)
-        witness = _smallest(states) if states else None
-    except TimeoutError:
-        reached["expanded"] = solver.expanded
-        raise
     finally:
-        reached["time_shadow"] = time.monotonic() - t0
-    stats: dict[str, Any] = {
-        "engine": "shadow",
-        **reached,
-        "expanded": solver.expanded,
-        "witnesses": len(states),
-        "closure_complete": solver.complete,
-        "closure_exact": solver.exact,
-    }
-    if witness is not None:
-        return _inhabited(witness, phi, stats)
+        stats["expanded"] = solver.expanded
+    stats.update(witnesses=len(states), closure_complete=solver.complete, closure_exact=solver.exact)
+    if states:
+        return "Inhabited", smallest(states), None
     if solver.complete and solver.exact:
-        return Decision("Empty", None, None, stats)
-    return _exhausted(stats, "shadow", "label_candidates" if solver.complete else "max_shadow_nodes")
+        return "Empty", None, None
+    stats["exhausted_by"] = "label_candidates" if solver.complete else "max_shadow_nodes"
+    return None
+
+
+# engine -> its steps, in order, as (name, step)
+_STEPS = {
+    "auto": (("countermodel", _countermodel), ("bounded", _bounded), ("shadow", _shadow)),
+    "bounded": (("bounded", _bounded),),
+    "shadow": (("shadow", _shadow),),
+}
 
 
 def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
-    """Decide inhabitation of phi. Inhabited verdicts always carry a checked
-    lambda witness and a combinator certificate. Empty is claimed either
-    with a checked 3-valued countermodel or by the complete shadow engine
-    with no limit tripped. `auto` runs the countermodel search, then the
-    bounded oracle, then the shadow engine, and stops at the first verdict;
-    no formula has both a countermodel and a witness, so the order changes
-    no verdict. `shadow` runs the shadow engine alone. A decision for
-    which the oracle ran carries `terms` in its stats, the number of states
-    the oracle built.
+    """Decide inhabitation of phi: run the steps of `config.engine` in
+    order until one gives a verdict. Inhabited verdicts always carry a
+    checked lambda witness and a combinator certificate. Empty is claimed
+    either with a checked 3-valued countermodel or by the complete shadow
+    engine with no limit tripped. `auto` runs the countermodel search, the
+    bounded oracle and the shadow engine; no formula has both a
+    countermodel and a witness, so the order changes no verdict. The stats
+    name the step that gave the verdict, `engine`, and hold the counters of
+    every step that ran (`matrices_tried`; `terms`, the states the oracle
+    built; `expanded`, `witnesses`, `closure_complete`, `closure_exact`).
 
     A ResourceExhausted verdict names in its stats the `step` that gave up
-    (countermodel, bounded or shadow) and what stopped it, `exhausted_by`:
-    `time` when `config.time_budget` ran out (then `time_budget_hit` is
-    set too, and the counts reached stay: the oracle's `terms`, and the
-    nodes a shadow step `expanded`),
-    `max_oracle_nodes` when the oracle found no witness within its bound,
-    and `max_shadow_nodes` or `label_candidates` when that limit left the
-    shadow search incomplete or inexact (the first, if both).
+    and what stopped it, `exhausted_by`: `time` when `config.time_budget`
+    ran out (then `engine` is `config.engine`, `time_budget_hit` is set,
+    and the counts reached stay), `max_oracle_nodes` when the oracle found
+    no witness within its bound, and `max_shadow_nodes` or
+    `label_candidates` when that limit left the shadow search incomplete or
+    inexact (the first, if both).
 
-    The stats also give times in seconds: `wall_time` for the whole call,
-    and for each step that ran, a timed-out one too, `time_countermodel`,
-    `time_bounded`, `time_shadow` and `time_extract` (the certificate's
-    extraction)."""
+    `Decision.times` holds the times in seconds: `wall_time` for the whole
+    call, `time_<step>` for each step that ran, a timed-out one too, and
+    `time_extract` for the certificate's extraction."""
     t0 = time.monotonic()
     deadline = math.inf if config.time_budget is None else t0 + config.time_budget
-    step = config.engine
-    reached: dict[str, Any] = {}
+    stats: dict[str, Any] = {}
+    times: dict[str, float] = {}
+    found = None
     try:
-        if config.engine == "bounded":
-            out = _decide_bounded(phi, deadline, reached)
-        elif config.engine == "shadow":
-            out = _decide_shadow(phi, deadline, reached)
-        else:
-            step = "countermodel"
+        for name, step in _STEPS[config.engine]:
+            t = time.monotonic()
             try:
-                out = refute(phi, deadline)
+                found = step(phi, deadline, stats)
             finally:
-                reached["time_countermodel"] = time.monotonic() - t0
-            if out is None:
-                # a budget spent after the sweep's last check ends here
-                if time.monotonic() > deadline:
-                    raise TimeoutError
-                step = "bounded"
-                out = _decide_bounded(phi, deadline, reached)
-                if out.verdict != "Inhabited":
-                    step = "shadow"
-                    out = _decide_shadow(phi, deadline, reached)
-            else:
-                out.stats.update(reached)
+                times[f"time_{name}"] = time.monotonic() - t
+            if found is not None:
+                # the limit that stopped an earlier step no longer matters
+                stats.pop("exhausted_by", None)
+                break
+        stats["engine"] = name
     except TimeoutError:
-        stats = {"engine": config.engine, "time_budget_hit": True, **reached}
-        out = _exhausted(stats, step, "time")
-    out.stats["wall_time"] = time.monotonic() - t0
-    return out
+        stats.update(engine=config.engine, time_budget_hit=True, exhausted_by="time")
+    if found is None:
+        stats["step"] = name
+        found = "ResourceExhausted", None, None
+    verdict, witness, cm = found
+    cert = None
+    if witness is not None:
+        t = time.monotonic()
+        cert = extract_combinator(witness, phi)
+        times["time_extract"] = time.monotonic() - t
+    times["wall_time"] = time.monotonic() - t0
+    return Decision(verdict, witness, cert, stats, cm, times)

@@ -16,6 +16,7 @@ import pytest
 
 import ticket
 import ticket.cli
+import ticket.shadow
 from conftest import SEED, A, B, C, formula_corpus
 from ticket.cli import ENGINES, EXIT_INTERNAL, USAGE, UsageError, main, read_argv
 from ticket.shadow import DecideConfig, Decision, decide
@@ -162,7 +163,7 @@ def test_wrong_certificate_fails_closed(optimize):
     assert proc.stderr == "error: internal: CertificateError: extracted b->b, wanted a->a\n"
 
 
-# a decision, and the times its stats give beside wall_time: one per step
+# a decision, and the times it gives beside wall_time: one per step
 # that ran, and one for the certificate's extraction
 TRACED = [
     (["a->(b->a)", "--engine", "shadow"], ["time_shadow"]),
@@ -192,6 +193,24 @@ def test_trace_prints_every_stat_on_stderr(capsys, mode):
                 assert float(value) >= 0
             else:
                 assert value == str(stats[key[4:]])
+
+
+def test_a_step_needs_only_its_entry_in_the_step_table(capsys, monkeypatch):
+    # a step that writes a counter and hands phi on: its counter is a stat,
+    # and its time shows under --trace but never in --json
+    def fake(phi, deadline, stats):
+        stats["fake_count"] = 1
+        return None
+
+    steps = ticket.shadow._STEPS
+    monkeypatch.setitem(steps, "auto", (("fake", fake), *steps["auto"]))
+    code, out, err = run(capsys, "decide", "a->a", "--json", "--trace")
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert stats == {"engine": "bounded", "fake_count": 1, "terms": 2}
+    traced = [line.partition(" = ")[0][4:] for line in err.splitlines()]
+    times = ["time_bounded", "time_countermodel", "time_extract", "time_fake", "wall_time"]
+    assert traced == sorted([*stats, *times])
 
 
 def test_decide_json_schema(capsys):

@@ -1,6 +1,11 @@
 """The decision path uses only the public names of its sibling modules,
-its import loads neither `dataclasses` nor the lemma-side modules, and it
-defines nothing that only the lemma checks use.
+has no `assert`, its import loads neither `dataclasses` nor the lemma-side
+modules, and every top-level function and class it defines is reached by
+name from a root: `cli.main`, a module's import-time code, a name that a
+lemma-side module imports, or a test reference (TEST_REFERENCES). So a
+definition that only the lemma checks use passes when `compact` or
+`blueprint` imports it by name (`terms.free_vars`, `terms._free_map` and
+`formula.formula_sort_key` do); only one that nothing reaches fails.
 
 `compact` is exempt: it derives the paper's lemma objects from the core's
 internals on purpose."""
@@ -14,7 +19,16 @@ import pytest
 
 import ticket
 
-DECISION_PATH = ["formula", "terms", "combinators", "oracle", "countermodel", "shadow", "cli"]
+DECISION_PATH = [
+    "record",
+    "formula",
+    "terms",
+    "combinators",
+    "oracle",
+    "countermodel",
+    "shadow",
+    "cli",
+]
 LEMMA_SIDE = ["blueprint", "compact"]
 # decision-path functions that tests use as references for the search
 TEST_REFERENCES = [
@@ -109,7 +123,7 @@ def _unreached_definitions() -> list[str]:
 
 
 def test_decision_path_defines_only_what_it_uses():
-    # a helper that only the lemma checks use belongs in `compact`
+    # a definition that no root reaches is dead code
     assert _unreached_definitions() == []
 
 

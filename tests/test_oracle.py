@@ -50,15 +50,15 @@ def test_bound_validation():
 def test_bounded_decide_stops_at_first_inhabited_size():
     phi = parse_formula("((b->a)->b->a)->(b->a)->b->a")
     bound = 10
-    reached = {}
-    res = bounded_decide(phi, bound, reached=reached)
+    stats = {}
+    res = bounded_decide(phi, bound, stats=stats)
     hits = enumerate_inhabitants(phi, bound)
     assert res is not None
     assert res == hits[0]
     assert node_count(res) == 2
     # the states of sizes 1 and 2 are built, not those of larger sizes
     counts = [len(states) for _, states in _levels(phi, bound)]
-    assert reached["terms"] == counts[0] + counts[1] < sum(counts)
+    assert stats["terms"] == counts[0] + counts[1] < sum(counts)
 
 
 def test_bounded_decide_builds_terms_only_for_its_last_level_hits(monkeypatch):

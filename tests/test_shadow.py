@@ -38,7 +38,17 @@ from ticket.shadow import (
     _Solver,
     decide,
 )
-from ticket.terms import App, Lam, Var, VarRef, alpha_canonical, free_splits, is_nf_inhabitant, print_term
+from ticket.terms import (
+    App,
+    Lam,
+    Var,
+    VarRef,
+    alpha_canonical,
+    free_splits,
+    is_nf_inhabitant,
+    node_count,
+    print_term,
+)
 from ticket.formula import Atom, Imp, subformulas
 
 from conftest import formula_corpus
@@ -184,9 +194,10 @@ def test_decide_witness_is_smallest_identity():
     assert print_term(d.witness_lambda) == "\\x1:a. x1"
 
 
-def test_decide_stats_have_wall_time():
+def test_decide_times_have_wall_time():
     d = decide(parse_formula("a->a"))
-    assert "wall_time" in d.stats
+    assert "wall_time" in d.times
+    assert "wall_time" not in d.stats
 
 
 def test_enumerate_contains_witness_domain():
@@ -231,6 +242,13 @@ def test_config_validation():
             DecideConfig(time_budget=seconds)
 
 
+def test_config_rejects_a_bool_budget():
+    # True compares as 1, but a bool is no number of seconds
+    for flag in (True, False):
+        with pytest.raises(ValueError):
+            DecideConfig(time_budget=flag)
+
+
 @pytest.mark.parametrize(
     "text,engine,oracle_nodes",
     [
@@ -269,8 +287,10 @@ PAIRS = "((c->c->c)->c)->(c->c->c)->c"
 
 
 def _ticking(monkeypatch, ticks_per_pair: int, ticks_per_term: int) -> list[int]:
-    """A clock for the shadow search that moves only with its work: the given
-    ticks per pair of an application's sides and per term built."""
+    """A clock for the shadow search and the witness order that moves only
+    with their work: the given ticks per pair of an application's sides and
+    per solution's term built (the order takes each term's node count once,
+    right after building it)."""
     clock = [0]
 
     def pairs(fns, args):
@@ -278,13 +298,15 @@ def _ticking(monkeypatch, ticks_per_pair: int, ticks_per_term: int) -> list[int]
             clock[0] += ticks_per_pair
             yield pair
 
-    def term(state, built):
+    def count(term):
         clock[0] += ticks_per_term
-        return state_term(state, built)
+        return node_count(term)
 
+    fake_time = SimpleNamespace(monotonic=lambda: clock[0])
     monkeypatch.setattr(ticket.shadow, "product", pairs)
-    monkeypatch.setattr(ticket.shadow, "state_term", term)
-    monkeypatch.setattr(ticket.shadow, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    monkeypatch.setattr(ticket.oracle, "node_count", count)
+    monkeypatch.setattr(ticket.shadow, "time", fake_time)
+    monkeypatch.setattr(ticket.oracle, "time", fake_time)
     return clock
 
 
@@ -332,14 +354,21 @@ def test_time_budget_holds_while_terms_are_built():
 def test_shadow_decide_builds_terms_only_for_its_smallest_solutions(monkeypatch):
     # `decide` counts nodes on the states: of the 7001 solutions here, from
     # 2 to 59 nodes, it builds the term of the one 2-node solution only
+    # (and, inside that call, the terms of its parts)
     phi = parse_formula(PAIRS)
     built = []
+    depth = [0]
 
     def term(state, memo):
-        built.append(state)
-        return state_term(state, memo)
+        if not depth[0]:
+            built.append(state)
+        depth[0] += 1
+        try:
+            return state_term(state, memo)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(ticket.shadow, "state_term", term)
+    monkeypatch.setattr(ticket.oracle, "state_term", term)
     d = decide(phi, DecideConfig(engine="shadow"))
     assert print_term(d.witness_lambda) == "\\x1:(c->c->c)->c. x1"
     assert (d.stats["witnesses"], len(built)) == (7001, 1)
@@ -546,6 +575,56 @@ def test_exhaustion_names_step_and_limit(text, engine, step, limit):
     assert "time_budget_hit" not in d.stats
 
 
+SHADOW_COUNTS = {"expanded", "witnesses", "closure_complete", "closure_exact"}
+STEPS = ["countermodel", "bounded", "shadow"]
+
+
+@pytest.mark.parametrize(
+    "text,engine,shadow_nodes,verdict,limit,counts,steps",
+    [
+        ("a->(b->a)", "auto", 40, "Empty", None, {"matrices_tried"}, STEPS[:1]),
+        ("a->a", "auto", 40, "Inhabited", None, {"terms"}, STEPS[:2]),
+        # its 11-node witness is past the oracle's bound
+        (
+            "(a->a->c->b)->(c->a)->c->b",
+            "auto", 40, "Inhabited", None, {"terms", *SHADOW_COUNTS}, STEPS,
+        ),
+        # no 3-valued matrix refutes it
+        ("((c->c)->c)->c", "auto", 40, "Empty", None, {"terms", *SHADOW_COUNTS}, STEPS),
+        (
+            "a->b->a",
+            "bounded", 40, "ResourceExhausted", "max_oracle_nodes", {"terms"}, ["bounded"],
+        ),
+        (
+            "((a->b->a)->a)->a",
+            "shadow", 40, "ResourceExhausted", "label_candidates", SHADOW_COUNTS, ["shadow"],
+        ),
+        (
+            "(x->y)->((p->x)->(p->y))",
+            "shadow", 2, "ResourceExhausted", "max_shadow_nodes", SHADOW_COUNTS, ["shadow"],
+        ),
+    ],
+)
+def test_decided_paths_pin_their_stats_and_times(
+    monkeypatch, text, engine, shadow_nodes, verdict, limit, counts, steps
+):
+    # every path that does not time out: the stats name the step that gave
+    # the verdict and hold the counters of the steps that ran, and only a
+    # last step's own limit; the times are apart, one per step that ran
+    monkeypatch.setattr(ticket.shadow, "MAX_SHADOW_NODES", shadow_nodes)
+    d = decide(parse_formula(text), DecideConfig(engine=engine))
+    assert d.verdict == verdict
+    exhausted = {"step": steps[-1], "exhausted_by": limit} if limit else {}
+    assert d.stats == {
+        "engine": steps[-1],
+        **{key: d.stats[key] for key in counts},
+        **exhausted,
+    }
+    extract = ["time_extract"] if verdict == "Inhabited" else []
+    assert set(d.times) == {"wall_time", *[f"time_{s}" for s in steps], *extract}
+    assert all(seconds >= 0 for seconds in d.times.values())
+
+
 @pytest.mark.parametrize("engine", ["bounded", "shadow"])
 def test_timeout_names_the_engine_step(engine):
     # the budget has run out at the engine's first deadline check
@@ -617,18 +696,18 @@ def test_auto_timeout_names_the_step(monkeypatch, step):
         "bounded": {"terms": 2},
         "shadow": {"terms": 3, "expanded": 0},
     }[step]
-    # and the time of each step that ran, the one that timed out too
-    steps = ["countermodel", "bounded", "shadow"]
-    times = [f"time_{s}" for s in steps[: steps.index(step) + 1]]
     assert d.stats == {
         "engine": "auto",
         "time_budget_hit": True,
         **reached,
         "step": step,
         "exhausted_by": "time",
-        **{key: d.stats[key] for key in ["wall_time", *times]},
     }
-    assert all(d.stats[key] >= 0 for key in times)
+    # and the time of each step that ran, the one that timed out too
+    steps = ["countermodel", "bounded", "shadow"]
+    times = [f"time_{s}" for s in steps[: steps.index(step) + 1]]
+    assert set(d.times) == {"wall_time", *times}
+    assert all(d.times[key] >= 0 for key in times)
 
 
 def _product_splits(chi):
@@ -743,16 +822,10 @@ def test_enumerated_shadows_label_inner_nodes_with_combs():
     ],
 )
 def test_shadow_search_stats_are_pinned(text, expanded, witnesses):
-    stats = decide(parse_formula(text), DecideConfig(engine="shadow")).stats
-    assert set(stats) == {
-        "engine",
-        "expanded",
-        "witnesses",
-        "closure_complete",
-        "closure_exact",
-        "wall_time",
-        "time_shadow",
-    } | ({"time_extract"} if witnesses else set())
+    d = decide(parse_formula(text), DecideConfig(engine="shadow"))
+    stats = d.stats
+    assert set(stats) == {"engine", "expanded", "witnesses", "closure_complete", "closure_exact"}
+    assert set(d.times) == {"wall_time", "time_shadow"} | ({"time_extract"} if witnesses else set())
     assert (stats["expanded"], stats["witnesses"]) == (expanded, witnesses)
     assert stats["closure_complete"] and stats["closure_exact"]
 
