@@ -74,7 +74,7 @@ from .countermodel import (
     countermodel_to_json,
 )
 from .formula import FormulaSyntaxError, parse_formula, print_formula
-from .shadow import DecideConfig, Decision, decide, refute
+from .shadow import ENGINES, DecideConfig, Decision, decide, refute
 from .terms import print_term
 
 EXIT_INHABITED = 0
@@ -272,9 +272,6 @@ def cmd_corpus(args) -> int:
 class UsageError(Exception):
     """A command line that fits no usage of `ticket`; `main` prints the
     usage block and the message, and exits 2."""
-
-
-ENGINES = ("auto", "bounded", "shadow")
 
 
 def _engine(text: str) -> str:

@@ -178,8 +178,27 @@ def _mp_closed(table, designated) -> bool:
     )
 
 
+def _matrix_error(table, designated) -> str | None:
+    """Why the matrix is no model of T->, the first check that fails, or
+    None when its designated set is nonempty, proper and closed under modus
+    ponens and its table validates B, B', I and W."""
+    if not 0 < len(designated) < len(VALUES):
+        return "the designated set must be nonempty and proper"
+    if not _mp_closed(table, designated):
+        return "the designated set is not closed under modus ponens"
+    name = _unvalidated_axiom(table, designated)
+    if name is not None:
+        return f"the table does not validate {name}"
+    return None
+
+
 def _is_model(table, designated) -> bool:
-    return _mp_closed(table, designated) and _unvalidated_axiom(table, designated) is None
+    return _matrix_error(table, designated) is None
+
+
+# The committed matrices, each checked to be a model here, once per process:
+# `check_countermodel` checks a matrix again only when it is not one of them.
+_MODELS = frozenset(matrix for matrix in MATRICES if _is_model(*matrix))
 
 
 def _permuted(table, designated, p) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -254,12 +273,13 @@ for _n in range(_PREBUILT_ATOMS + 1):
     _sweep_masks(_n)
 
 
-def countermodel(phi: Formula, deadline: float = math.inf) -> Countermodel | None:
-    """The first matrix of `MATRICES` and the first assignment under which
-    phi is undesignated, or None when every matrix validates phi. One pass
-    evaluates phi in all the matrices under all the assignments at once (see
-    `_sweep_masks`). Raises TimeoutError once `time.monotonic()` passes
-    `deadline`, checked per arrow of phi.
+def countermodel(phi: Formula, deadline: float = math.inf) -> tuple[int, Countermodel] | None:
+    """The index m of the first matrix of `MATRICES` under which phi is
+    undesignated under some assignment, and the countermodel of that matrix
+    and its first such assignment; None when every matrix validates phi.
+    One pass evaluates phi in all the matrices under all the assignments at
+    once (see `_sweep_masks`). Raises TimeoutError once `time.monotonic()`
+    passes `deadline`, checked per arrow of phi.
 
     Past MAX_ATOMS distinct atoms, every atom after the first MAX_ATOMS, in
     sorted order, is merged onto the first atom, and the merged formula is
@@ -311,22 +331,20 @@ def countermodel(phi: Formula, deadline: float = math.inf) -> Countermodel | Non
     table, designated = MATRICES[m]
     values = [row // 3 ** (n - 1 - i) % 3 for i in range(n)]
     assignment = tuple(zip(atoms, values + values[:1] * merged))
-    return Countermodel(table, designated, assignment)
+    return m, Countermodel(table, designated, assignment)
 
 
 def check_countermodel(cm: Countermodel, phi: Formula) -> None:
     """Re-verify cm from its parts: its designated set is nonempty, proper
     and closed under modus ponens, its table validates B, B', I and W under
-    every assignment, and phi is undesignated under its assignment. Raises
+    every assignment (established at import for the matrices of
+    `MATRICES`), and phi is undesignated under its assignment. Raises
     CountermodelError naming the first check that fails."""
     table, designated = cm.table, cm.designated
-    if not 0 < len(designated) < len(VALUES):
-        raise CountermodelError("the designated set must be nonempty and proper")
-    if not _mp_closed(table, designated):
-        raise CountermodelError("the designated set is not closed under modus ponens")
-    name = _unvalidated_axiom(table, designated)
-    if name is not None:
-        raise CountermodelError(f"the table does not validate {name}")
+    if (table, designated) not in _MODELS:
+        error = _matrix_error(table, designated)
+        if error is not None:
+            raise CountermodelError(error)
     atoms, ops = _program(phi)
     env = dict(cm.assignment)
     for name in atoms:

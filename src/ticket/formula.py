@@ -9,7 +9,11 @@ return the one live object for that name or pair, so equal formulas are one
 object, and equality and hashing are those of `object`. The intern table
 holds weak references, so a formula leaves it once nothing else holds it.
 Pickling and copying go through the constructors, so they return the live
-formula too.
+formula too. Each constructor has one miss path, its builder (`_build_atom`,
+`_build_imp`), which the constructor, the parser and `_fold` call when the
+table has no live formula for the key. `Atom(name)` checks the name against
+the name syntax; the parser checks only a name's first character, as its
+tokenizer has already matched the whole name.
 """
 from __future__ import annotations
 
@@ -33,35 +37,47 @@ class FormulaSyntaxError(ValueError):
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 # The intern table: an atom's name, or an arrow's (antecedent, consequent)
-# pair, -> a weak reference to the formula. An entry is written only under
+# pair, -> a weak reference to the formula. Hits take no lock: the
+# constructors, the parser and `_fold` read a live formula from the table
+# themselves, and only on a miss call the constructor's builder, `_build_atom`
+# or `_build_imp`, its one miss path. A builder writes an entry only under
 # _lock and only where its key has no live formula, and the reference's
 # callback deletes the entry only while it is dead (`_remove_dead_weakref`),
 # so a live formula is never displaced. The lock is reentrant: a garbage
 # collection during a miss may run code on the same thread that builds
-# formulas. Hits take no lock: a live formula found in the table is the one
-# for its key. `ref and ref()` is the formula of an entry, or None when the
-# entry is missing or dead.
+# formulas. `ref and ref()` is the formula of an entry, or None when the
+# entry is missing or dead. A reference is a plain ref with a closure, not a
+# KeyedRef, whose constructor is Python code: slow on its first call in a
+# freshly forked process.
 _table: dict[str | tuple, weakref.ref] = {}
 _lock = threading.RLock()
 
 
-def _intern(cls: type, key: str | tuple, *fields):
-    """The live formula at `key`, or else a new `cls` with `fields`, entered
-    at `key`."""
-    ref = _table.get(key)
-    f = ref and ref()
-    if f is None:
-        with _lock:
-            ref = _table.get(key)
-            f = ref and ref()
-            if f is None:
-                f = object.__new__(cls)
-                for set_field, value in zip(cls._setters, fields):
-                    set_field(f, value)
-                # a plain ref with a closure, not a KeyedRef, whose
-                # constructor is Python code: slow on its first call in a
-                # freshly forked process
-                _table[key] = weakref.ref(f, lambda _, key=key: _remove_dead_weakref(_table, key))
+def _build_atom(name: str) -> Atom:
+    """The live atom named `name`, found again under the lock, or else a new
+    one, entered in the table. The caller has checked the name."""
+    with _lock:
+        ref = _table.get(name)
+        f = ref and ref()
+        if f is None:
+            f = object.__new__(Atom)
+            _set_name(f, name)
+            _table[name] = weakref.ref(f, lambda _, key=name: _remove_dead_weakref(_table, key))
+    return f
+
+
+def _build_imp(antecedent: Formula, consequent: Formula) -> Imp:
+    """The live arrow antecedent -> consequent, found again under the lock,
+    or else a new one, entered in the table."""
+    key = (antecedent, consequent)
+    with _lock:
+        ref = _table.get(key)
+        f = ref and ref()
+        if f is None:
+            f = object.__new__(Imp)
+            _set_antecedent(f, antecedent)
+            _set_consequent(f, consequent)
+            _table[key] = weakref.ref(f, lambda _, key=key: _remove_dead_weakref(_table, key))
     return f
 
 
@@ -76,7 +92,9 @@ class Atom(Record):
     def __new__(cls, name: str) -> Atom:
         if not _NAME.fullmatch(name):
             raise ValueError(f"bad atom name: {name!r}")
-        return _intern(cls, name, name)
+        ref = _table.get(name)
+        f = ref and ref()
+        return _build_atom(name) if f is None else f
 
     def __reduce__(self):
         return (Atom, (self.name,))
@@ -93,7 +111,9 @@ class Imp(Record):
     __hash__ = object.__hash__
 
     def __new__(cls, antecedent: Formula, consequent: Formula) -> Imp:
-        return _intern(cls, (antecedent, consequent), antecedent, consequent)
+        ref = _table.get((antecedent, consequent))
+        f = ref and ref()
+        return _build_imp(antecedent, consequent) if f is None else f
 
     def __reduce__(self):
         return (Imp, (self.antecedent, self.consequent))
@@ -102,8 +122,8 @@ class Imp(Record):
         return f"Imp({self.antecedent!r}, {self.consequent!r})"
 
 
-Atom._setters = slot_setters(Atom)
-Imp._setters = slot_setters(Imp)
+(_set_name,) = slot_setters(Atom)
+_set_antecedent, _set_consequent = slot_setters(Imp)
 Formula = Atom | Imp
 
 
@@ -111,6 +131,7 @@ Formula = Atom | Imp
 # single non-space character, which is an error. Whitespace falls between
 # the matches.
 _TOKEN = re.compile(r"->|[()]|[A-Za-z][A-Za-z0-9_]*|\S")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 
 def _syntax_error(text: str, index: int | None, message: str) -> FormulaSyntaxError:
@@ -132,14 +153,13 @@ def _syntax_error(text: str, index: int | None, message: str) -> FormulaSyntaxEr
 
 
 def _fold(operands: list[Formula]) -> Formula:
-    """operands[0] -> operands[1] -> ... -> operands[-1]. A live arrow is
-    read from the intern table with no constructor call."""
+    """operands[0] -> operands[1] -> ... -> operands[-1]."""
     f = operands[-1]
     for i in range(len(operands) - 2, -1, -1):
         a = operands[i]
         ref = _table.get((a, f))
         g = ref and ref()
-        f = Imp(a, f) if g is None else g
+        f = _build_imp(a, f) if g is None else g
     return f
 
 
@@ -165,13 +185,13 @@ def parse_formula(text: str) -> Formula:
                 levels.append(operands)
                 operands = []
                 continue
+            # a token that starts with a letter is a whole name: _TOKEN
+            # matched it by its name branch
+            if token[0] not in _LETTERS:
+                raise _syntax_error(text, index, "unexpected {}")
             ref = _table.get(token)
             atom = ref and ref()
-            if atom is None:
-                if token in ("->", ")") or not _NAME.fullmatch(token):
-                    raise _syntax_error(text, index, "unexpected {}")
-                atom = Atom(token)
-            operands.append(atom)
+            operands.append(_build_atom(token) if atom is None else atom)
             want_operand = False
         elif token == "->":
             depth += 1

@@ -42,7 +42,7 @@ from itertools import product
 from typing import Any
 
 from .combinators import CombDerivation, extract_combinator
-from .countermodel import MATRICES, Countermodel, check_countermodel, countermodel
+from .countermodel import Countermodel, check_countermodel, countermodel
 from .formula import Formula, Imp, contraction_closure, sorted_subformulas
 from . import oracle
 from .oracle import bounded_decide, smallest, witness_order
@@ -269,26 +269,28 @@ class Decision:
         self.times = {} if times is None else times
 
 
-def refute(phi: Formula, deadline: float = math.inf) -> Countermodel | None:
-    """A checked 3-valued countermodel of phi, or None when none is found.
-    A countermodel that fails its check raises CountermodelError. Raises
-    TimeoutError once `time.monotonic()` passes `deadline`."""
-    cm = countermodel(phi, deadline)
-    if cm is not None:
-        check_countermodel(cm, phi)
-    return cm
+def refute(phi: Formula, deadline: float = math.inf) -> tuple[int, Countermodel] | None:
+    """A checked 3-valued countermodel of phi, with the index in `MATRICES`
+    of its matrix, or None when none is found. A countermodel that fails its
+    check raises CountermodelError. Raises TimeoutError once
+    `time.monotonic()` passes `deadline`."""
+    found = countermodel(phi, deadline)
+    if found is not None:
+        check_countermodel(found[1], phi)
+    return found
 
 
 def _countermodel(phi: Formula, deadline: float, stats: dict[str, Any]):
     """Empty with a checked countermodel, found by the `matrices_tried`-th
     matrix."""
-    cm = refute(phi, deadline)
-    if cm is None:
+    found = refute(phi, deadline)
+    if found is None:
         # a budget spent after the sweep's last check ends here
         if time.monotonic() > deadline:
             raise TimeoutError
         return None
-    stats["matrices_tried"] = MATRICES.index((cm.table, cm.designated)) + 1
+    m, cm = found
+    stats["matrices_tried"] = m + 1
     return "Empty", None, cm
 
 
@@ -326,6 +328,8 @@ _STEPS = {
     "bounded": (("bounded", _bounded),),
     "shadow": (("shadow", _shadow),),
 }
+# the engine names: a live view of the keys of `_STEPS`
+ENGINES = _STEPS.keys()
 
 
 def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:

@@ -213,6 +213,23 @@ def test_a_step_needs_only_its_entry_in_the_step_table(capsys, monkeypatch):
     assert traced == sorted([*stats, *times])
 
 
+def test_a_new_engine_needs_only_its_entry_in_the_step_table(capsys, monkeypatch):
+    # --engine accepts the engines of the step table as it is when read
+    def solo(phi, deadline, stats):
+        stats["solo_count"] = 1
+        return "Empty", None, None
+
+    monkeypatch.setitem(ticket.shadow._STEPS, "solo", (("solo", solo),))
+    code, out, _ = run(capsys, "decide", "a->b", "--engine", "solo", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "Empty"
+    assert payload["stats"] == {"engine": "solo", "solo_count": 1}
+    code, _, err = run(capsys, "decide", "a->b", "--engine", "duo")
+    assert code == 2
+    assert "invalid choice: 'duo' (choose from auto, bounded, shadow, solo)" in err
+
+
 def test_decide_json_schema(capsys):
     code, out, _ = run(capsys, "decide", "a->a", "--json")
     assert code == 0

@@ -15,6 +15,7 @@ from ticket.countermodel import (
     MAX_ATOMS,
     Countermodel,
     CountermodelError,
+    _is_model,
     all_matrices,
     check_countermodel,
     countermodel,
@@ -74,14 +75,15 @@ def _atoms(f):
 def _naive_countermodel(phi):
     """The reference: every matrix in table order, every assignment in
     lexicographic order, one evaluation at a time; each atom past the first
-    MAX_ATOMS, in sorted order, takes the first atom's value."""
+    MAX_ATOMS, in sorted order, takes the first atom's value. Returns the
+    matrix's index and the countermodel."""
     names = sorted(_atoms(phi))
     merged = max(0, len(names) - MAX_ATOMS)
-    for table, designated in MATRICES:
+    for m, (table, designated) in enumerate(MATRICES):
         for values in itertools.product(range(3), repeat=len(names) - merged):
             env = dict(zip(names, values + values[:1] * merged))
             if _value(phi, table, env) not in designated:
-                return Countermodel(table, designated, tuple(sorted(env.items())))
+                return m, Countermodel(table, designated, tuple(sorted(env.items())))
     return None
 
 
@@ -174,15 +176,36 @@ def test_shadow_engine_carries_no_countermodel():
     ],
 )
 def test_check_rejects_edited_countermodels(edit, reason):
-    cm = countermodel(NAMED_FAILURE)
+    _, cm = countermodel(NAMED_FAILURE)
     check_countermodel(cm, NAMED_FAILURE)
     fields = dict(table=cm.table, designated=cm.designated, assignment=cm.assignment)
     with pytest.raises(CountermodelError, match=reason):
         check_countermodel(Countermodel(**{**fields, **edit}), NAMED_FAILURE)
 
 
+def test_committed_matrices_are_models():
+    assert all(_is_model(table, designated) for table, designated in MATRICES)
+
+
+def test_checking_a_committed_matrix_lets_no_other_matrix_pass():
+    # the committed matrices are found to be models once, at import; a
+    # matrix outside them is still checked in full. The first matrix here
+    # fails only W; the second, MATRICES[0]'s table with another designated
+    # set, validates the four axioms but is not closed under modus ponens.
+    _, cm = countermodel(NAMED_FAILURE)
+    assert (cm.table, cm.designated) in MATRICES
+    check_countermodel(cm, NAMED_FAILURE)
+    for table, designated, reason in [
+        ((0, 0, 2, 0, 0, 2, 2, 2, 0), (0, 1), "the table does not validate W"),
+        ((0, 0, 2, 0, 0, 2, 0, 0, 0), (0,), "the designated set is not closed under modus ponens"),
+    ]:
+        assert (table, designated) not in MATRICES
+        with pytest.raises(CountermodelError, match=reason):
+            check_countermodel(Countermodel(table, designated, cm.assignment), NAMED_FAILURE)
+
+
 def test_check_rejects_another_formula():
-    cm = countermodel(NAMED_FAILURE)
+    _, cm = countermodel(NAMED_FAILURE)
     with pytest.raises(CountermodelError, match="is designated"):
         check_countermodel(cm, parse_formula("c->c"))
 
@@ -195,7 +218,7 @@ def test_atoms_past_max_atoms_are_merged_onto_the_first():
     phi = names[0]
     for atom in names[1:]:
         phi = Imp(atom, phi)
-    cm = countermodel(phi)
+    _, cm = countermodel(phi)
     check_countermodel(cm, phi)
     assignment = dict(cm.assignment)
     assert sorted(assignment) == list("abcdefghi") and assignment["i"] == assignment["a"]
@@ -214,17 +237,17 @@ def test_deep_formula_is_searched():
     phi = a
     for _ in range(5000):
         phi = Imp(a, phi)
-    check_countermodel(countermodel(phi), phi)
+    check_countermodel(countermodel(phi)[1], phi)
 
 
 def test_countermodels_agree_with_the_engines():
     # formula_corpus(): every formula over a, b with at most 4 arrows
     refuted_inexact = set()
     for phi in formula_corpus():
-        cm = countermodel(phi)
-        if cm is None:
+        found = countermodel(phi)
+        if found is None:
             continue
-        check_countermodel(cm, phi)
+        check_countermodel(found[1], phi)
         assert bounded_decide(phi, 8) is None, print_formula(phi)
         shadow = decide(phi, DecideConfig(engine="shadow")).verdict
         assert shadow != "Inhabited", print_formula(phi)
@@ -239,12 +262,12 @@ def test_countermodels_agree_with_the_engines():
     for _ in range(150):
         arrows = rng.randint(1, 6)
         phi = _random_formula(rng, arrows)
-        cm = countermodel(phi)
-        if cm is None:
+        found = countermodel(phi)
+        if found is None:
             if bounded_decide(phi) is not None:
                 assert decide(phi, budgeted).verdict != "Empty", print_formula(phi)
             continue
-        check_countermodel(cm, phi)
+        check_countermodel(found[1], phi)
         assert bounded_decide(phi) is None, print_formula(phi)
         if arrows <= 3:
             assert decide(phi, DecideConfig(engine="shadow")).verdict == "Empty", print_formula(phi)

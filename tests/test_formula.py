@@ -91,6 +91,12 @@ SYNTAX_ERRORS = [
     ("1a", "unexpected character '1'", 0),
     ("a - > b", "unexpected character '-'", 2),
     (") $", "unexpected character '$'", 2),
+    # the parser tests only a name's first character; these start no name
+    ("é", "unexpected character 'é'", 0),
+    ("a->é", "unexpected character 'é'", 3),
+    ("aé->b", "unexpected character 'é'", 1),
+    ("_a", "unexpected character '_'", 0),
+    ("a->1b", "unexpected character '1'", 3),
 ]
 
 
