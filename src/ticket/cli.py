@@ -5,8 +5,10 @@ Subcommands:
                    3 ResourceExhausted, 2 parse or usage error. The auto
                    engine runs the 3-valued countermodel search (all 75
                    matrices in one pass), then the bounded oracle, then
-                   the shadow engine. Output carries both witnesses of an
-                   Inhabited verdict
+                   the shadow engine; an instance of an axiom scheme
+                   skips the search, and its certificate is its axiom's
+                   leaf. Output carries both witnesses of an Inhabited
+                   verdict
   check FILE.json FORMULA
                    verify a combinator certificate, or a countermodel (an
                    object with table, designated and assignment, as in the

@@ -3,13 +3,16 @@ extraction of a certificate from any normal inhabitant. Extraction is one
 bottom-up pass over the term, and `check_derivation` checks its output
 again before it is returned.
 
-Extraction collapses detours as it goes: a step whose conclusion is an
-instance of an axiom scheme becomes that axiom's leaf, and a conclusion
-derived twice in one extraction keeps its smaller derivation. So the
-certificate is a proof of the formula, often a single leaf, and not the
-combinator image of the lambda witness. `mp` itself keeps every step it is
-given. The translation of a derivation back to a lambda term, which only
-the lemma checks use, is `compact.comb_to_lambda`."""
+`axiom_kind` is the one recognizer of axiom instances: it names the first
+scheme of `AXIOM_KINDS` that a formula instantiates. Extraction collapses
+detours with it as it goes: a step whose conclusion is an instance of an
+axiom scheme becomes that axiom's leaf, and a conclusion derived twice in
+one extraction keeps its smaller derivation. So the certificate is a proof
+of the formula, often a single leaf, and not the combinator image of the
+lambda witness. A formula that is itself an axiom instance gets its leaf
+without the pass, as the pass would end in that leaf. `mp` itself keeps
+every step it is given. The translation of a derivation back to a lambda
+term, which only the lemma checks use, is `compact.comb_to_lambda`."""
 from __future__ import annotations
 
 from typing import Any
@@ -67,49 +70,45 @@ _set_left, _set_right, _set_result_type = slot_setters(MP)
 CombDerivation = Axiom | MP
 
 
-def _axiom_instance_ok(kind: str, t: Formula) -> bool:
-    # B : (chi->psi)->((phi->chi)->(phi->psi))
-    # B': (phi->chi)->((chi->psi)->(phi->psi))
-    # I : phi->phi
-    # W : (phi->(phi->chi))->(phi->chi)
-    if kind == "I":
-        return isinstance(t, Imp) and t.antecedent == t.consequent
+def axiom_kind(t: Formula) -> str | None:
+    """The first kind in `AXIOM_KINDS` whose scheme t instantiates, or None.
+    Formulas are interned, so every test is one of identity. Only B and B'
+    overlap, so I, the cheapest test, goes first.
+
+    B : (chi->psi)->((phi->chi)->(phi->psi))
+    B': (phi->chi)->((chi->psi)->(phi->psi))
+    I : phi->phi
+    W : (phi->(phi->chi))->(phi->chi)"""
     if not isinstance(t, Imp):
-        return False
+        return None
     a, c = t.antecedent, t.consequent
-    if kind == "B":
-        if not (isinstance(a, Imp) and isinstance(c, Imp)):
-            return False
-        chi, psi = a.antecedent, a.consequent
-        ca, cc = c.antecedent, c.consequent
-        if not (isinstance(ca, Imp) and isinstance(cc, Imp)):
-            return False
-        phi = ca.antecedent
-        return ca.consequent == chi and cc.antecedent == phi and cc.consequent == psi
-    if kind == "B'":
-        if not (isinstance(a, Imp) and isinstance(c, Imp)):
-            return False
-        phi, chi = a.antecedent, a.consequent
-        ca, cc = c.antecedent, c.consequent
-        if not (isinstance(ca, Imp) and isinstance(cc, Imp)):
-            return False
-        return (
-            ca.antecedent == chi
-            and cc.antecedent == phi
-            and cc.consequent == ca.consequent
-        )
-    if kind == "W":
-        if not (isinstance(a, Imp) and isinstance(c, Imp)):
-            return False
-        phi = a.antecedent
-        inner = a.consequent
-        return (
-            isinstance(inner, Imp)
-            and inner.antecedent == phi
-            and c.antecedent == phi
-            and c.consequent == inner.consequent
-        )
-    return False
+    if a is c:
+        return "I"
+    if not (isinstance(a, Imp) and isinstance(c, Imp)):
+        return None
+    ca, cc = c.antecedent, c.consequent
+    if isinstance(ca, Imp) and isinstance(cc, Imp):
+        a0, a1 = a.antecedent, a.consequent
+        # B: a = chi->psi, ca = phi->chi, cc = phi->psi
+        if ca.consequent is a0 and cc.antecedent is ca.antecedent and cc.consequent is a1:
+            return "B"
+        # B': a = phi->chi, ca = chi->psi, cc = phi->psi
+        if ca.antecedent is a1 and cc.antecedent is a0 and cc.consequent is ca.consequent:
+            return "B'"
+    if a.consequent is c and c.antecedent is a.antecedent:
+        return "W"
+    return None
+
+
+def _axiom_instance_ok(kind: str, t: Formula) -> bool:
+    """Whether t is an instance of the scheme `kind`. The schemes overlap
+    only on (x->x)->(x->x)->x->x, an instance of both B and B', which
+    `axiom_kind` names B."""
+    found = axiom_kind(t)
+    if found == "B" and kind == "B'":
+        a = t.antecedent
+        return a.antecedent is a.consequent and t.consequent.antecedent is a
+    return found == kind
 
 
 def check_derivation(d: CombDerivation) -> Formula:
@@ -179,20 +178,19 @@ Built = dict[Formula, tuple[MP, int]]
 def _step(left: CombDerivation, right: CombDerivation, built: Built) -> CombDerivation:
     """One modus ponens step of extraction, returned as the smallest
     derivation known for its conclusion: the axiom leaf when the conclusion
-    is an instance of B, B', I or W (tried in `AXIOM_KINDS` order, since
-    some types fit both B and B'), else the derivation of it that this
-    extraction has already built when that has no more nodes, else the new
-    step, built through `mp` from the smallest known derivations of its
-    premises. `built` maps each conclusion reached by a step to its
-    smallest derivation and that derivation's node count; it belongs to one
-    `extract_combinator` call."""
+    is an instance of B, B', I or W (its `axiom_kind`), else the derivation
+    of it that this extraction has already built when that has no more
+    nodes, else the new step, built through `mp` from the smallest known
+    derivations of its premises. `built` maps each conclusion reached by a
+    step to its smallest derivation and that derivation's node count; it
+    belongs to one `_walk` call."""
     left, n = built.get(_root_type(left), (left, 1))
     right, m = built.get(_root_type(right), (right, 1))
     d = mp(left, right)
     conclusion = d.result_type
-    for kind in AXIOM_KINDS:
-        if _axiom_instance_ok(kind, conclusion):
-            return Axiom(kind, conclusion)
+    kind = axiom_kind(conclusion)
+    if kind is not None:
+        return Axiom(kind, conclusion)
     known = built.get(conclusion)
     if known is not None and known[1] <= n + m + 1:
         return known[0]
@@ -251,7 +249,23 @@ def _combine(
 
 
 def extract_combinator(m: Term, phi: Formula) -> CombDerivation:
-    """Certificate extraction from a normal inhabitant, in one bottom-up
+    """The certificate of phi extracted from m, a normal inhabitant of phi.
+    When phi is an axiom instance it is that axiom's leaf, which `_walk`
+    would end in too; else it is `_walk(m)`. Either way the certificate is
+    checked again and its conclusion compared with phi, and m is first
+    checked to be a normal inhabitant of phi."""
+    if not is_nf_inhabitant(m, phi):
+        raise PreconditionViolated("extract_combinator needs a normal inhabitant")
+    kind = axiom_kind(phi)
+    d = _walk(m) if kind is None else Axiom(kind, phi)
+    result = check_derivation(d)
+    if result != phi:
+        raise CertificateError(f"extracted {print_formula(result)}, wanted {print_formula(phi)}")
+    return d
+
+
+def _walk(m: Term) -> CombDerivation:
+    """Certificate extraction from a closed normal HRM term, in one bottom-up
     pass. Each subterm t yields a derivation of w(Free(t)) -> type_of(t)
     and Free(t), the ranks of its free variables in increasing order, each
     mapped to its type. A variable yields an I instance and itself; an
@@ -262,11 +276,10 @@ def extract_combinator(m: Term, phi: Formula) -> CombDerivation:
     Every modus ponens step goes through `_step`, so no step keeps a
     detour: a conclusion that is an axiom instance is that axiom's leaf,
     and a conclusion derived twice shares its smallest derivation. The
-    certificate is therefore a proof of phi, not the combinator image of m.
-    The finished certificate is checked again, and its conclusion compared
-    with phi."""
-    if not is_nf_inhabitant(m, phi):
-        raise PreconditionViolated("extract_combinator needs a normal inhabitant")
+    result is therefore a proof of the type of m, not the combinator image
+    of m. The root derivation of a closed term concludes its type and comes
+    from a `_step` (or is the I leaf of `\\x.x`), so on an axiom instance
+    the walk ends in that axiom's leaf."""
     built: Built = {}
 
     def extract(t: Term) -> tuple[CombDerivation, dict[int, Formula]]:
@@ -281,11 +294,7 @@ def extract_combinator(m: Term, phi: Formula) -> CombDerivation:
         omega = dict(sorted({**free1, **free2}.items()))
         return _combine(d1, d2, tuple(free1), tuple(free2), omega, built), omega
 
-    d = extract(m)[0]
-    result = check_derivation(d)
-    if result != phi:
-        raise CertificateError(f"extracted {print_formula(result)}, wanted {print_formula(phi)}")
-    return d
+    return extract(m)[0]
 
 
 def derivation_to_json(d: CombDerivation) -> dict[str, Any]:

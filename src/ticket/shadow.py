@@ -41,7 +41,7 @@ import time
 from itertools import product
 from typing import Any
 
-from .combinators import CombDerivation, extract_combinator
+from .combinators import CombDerivation, axiom_kind, extract_combinator
 from .countermodel import Countermodel, check_countermodel, countermodel
 from .formula import Formula, Imp, contraction_closure, sorted_subformulas
 from . import oracle
@@ -226,21 +226,30 @@ class _Solver:
 # --- the decision procedure -------------------------------------------------
 
 class DecideConfig(Record):
-    """`engine` picks the steps `decide` runs (`_STEPS`). `time_budget`, a
-    positive, finite number of seconds, bounds the wall time of one `decide`
-    call; None means no limit. The budget is checked inside the steps, so it
-    works from any thread. Every other limit is a module constant:
-    `oracle.MAX_ORACLE_NODES` for the oracle's witness size,
-    `MAX_SHADOW_NODES` and `MAX_LABEL_CANDIDATES` (the finest tag patterns a
-    feasibility test tries) for the shadow search."""
+    """`engine`, a key of `_STEPS`, picks the steps `decide` runs.
+    `time_budget`, a positive, finite real number of seconds (not a bool),
+    bounds the wall time of one `decide` call; None means no limit. Any
+    other value of either raises ValueError, naming the field. The budget
+    is checked inside the steps, so it works from any thread. Every other
+    limit is a module constant: `oracle.MAX_ORACLE_NODES` for the oracle's
+    witness size, `MAX_SHADOW_NODES` and `MAX_LABEL_CANDIDATES` (the finest
+    tag patterns a feasibility test tries) for the shadow search."""
 
     __slots__ = ("engine", "time_budget")
 
     def __init__(self, engine: str = "auto", time_budget: float | None = None) -> None:
-        if engine not in _STEPS:
+        if not isinstance(engine, str) or engine not in _STEPS:
             raise ValueError(f"unknown engine {engine!r}")
-        if time_budget is True or time_budget is not None and not 0 < time_budget < math.inf:
-            raise ValueError(f"time_budget must be positive and finite, got {time_budget}")
+        if time_budget is not None:
+            # imported here: a process that sets no budget never loads it
+            from numbers import Real
+
+            if (
+                isinstance(time_budget, bool)
+                or not isinstance(time_budget, Real)
+                or not 0 < time_budget < math.inf
+            ):
+                raise ValueError(f"time_budget must be positive and finite, got {time_budget!r}")
         _set_engine(self, engine)
         _set_time_budget(self, time_budget)
 
@@ -282,8 +291,10 @@ def refute(phi: Formula, deadline: float = math.inf) -> tuple[int, Countermodel]
 
 def _countermodel(phi: Formula, deadline: float, stats: dict[str, Any]):
     """Empty with a checked countermodel, found by the `matrices_tried`-th
-    matrix."""
-    found = refute(phi, deadline)
+    matrix. An axiom instance is a theorem, which every matrix validates, so
+    it skips the sweep; the bounded oracle finds its witness, as each
+    scheme has one of at most 8 nodes."""
+    found = None if axiom_kind(phi) else refute(phi, deadline)
     if found is None:
         # a budget spent after the sweep's last check ends here
         if time.monotonic() > deadline:
@@ -339,10 +350,14 @@ def decide(phi: Formula, config: DecideConfig = DecideConfig()) -> Decision:
     either with a checked 3-valued countermodel or by the complete shadow
     engine with no limit tripped. `auto` runs the countermodel search, the
     bounded oracle and the shadow engine; no formula has both a
-    countermodel and a witness, so the order changes no verdict. The stats
-    name the step that gave the verdict, `engine`, and hold the counters of
-    every step that ran (`matrices_tried`; `terms`, the states the oracle
-    built; `expanded`, `witnesses`, `closure_complete`, `closure_exact`).
+    countermodel and a witness, so the order changes no verdict. An
+    instance of an axiom scheme (`combinators.axiom_kind`) skips the
+    search, which no matrix can win on a theorem, and its certificate is
+    its axiom's leaf, which `extract_combinator` gives without walking the
+    witness. The stats name the step that gave the verdict, `engine`, and
+    hold the counters of every step that ran (`matrices_tried`; `terms`,
+    the states the oracle built; `expanded`, `witnesses`,
+    `closure_complete`, `closure_exact`).
 
     A ResourceExhausted verdict names in its stats the `step` that gave up
     and what stopped it, `exhausted_by`: `time` when `config.time_budget`

@@ -19,7 +19,9 @@ import ticket.cli
 import ticket.shadow
 from conftest import SEED, A, B, C, formula_corpus
 from ticket.cli import ENGINES, EXIT_INTERNAL, USAGE, UsageError, main, read_argv
+from ticket.formula import Imp
 from ticket.shadow import DecideConfig, Decision, decide
+from ticket.terms import PreconditionViolated
 
 DEEP = "(" * 1500 + "a->a" + ")" * 1500
 
@@ -137,18 +139,33 @@ def test_unexpected_exception_exits_internal(capsys, monkeypatch):
     assert err == "error: internal: RuntimeError: boom\n"
 
 
+def test_a_witness_that_does_not_inhabit_an_axiom_instance_fails_closed(monkeypatch, capsys):
+    # the oracle patched to hand a->a the witness of b->b: the axiom leaf
+    # that a->a gets without the extraction walk still waits for the check
+    # that the witness inhabits a->a
+    real = ticket.shadow.bounded_decide
+    monkeypatch.setattr(ticket.shadow, "bounded_decide", lambda phi, *rest: real(Imp(B, B), *rest))
+    with pytest.raises(PreconditionViolated, match="needs a normal inhabitant"):
+        decide(Imp(A, A))
+    code, out, err = run(capsys, "decide", "a->a", "--json")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("error: internal: PreconditionViolated: ")
+
+
 @pytest.mark.parametrize("optimize", [["-O"], []], ids=["optimized", "plain"])
 def test_wrong_certificate_fails_closed(optimize):
-    # axiom_i patched to derive b->b whatever it is asked for: the
-    # certificate extracted for a->a then proves b->b. The comparison with
-    # the formula must hold under -O, which strips assert statements.
+    # check_derivation patched to say that any certificate proves b->b: the
+    # I leaf that a->a, an axiom instance, gets without the extraction walk
+    # then fails the comparison with the formula, which guards that short
+    # path and must hold under -O, which strips assert statements.
     code = (
         "import sys\n"
         "from ticket import cli, combinators\n"
         "from ticket.formula import Atom, Imp\n"
         f"if sys.flags.optimize != {len(optimize)}:\n"
         "    sys.exit(99)\n"
-        "combinators.axiom_i = lambda phi: combinators.Axiom('I', Imp(Atom('b'), Atom('b')))\n"
+        "combinators.check_derivation = lambda d: Imp(Atom('b'), Atom('b'))\n"
         "sys.exit(cli.main(['decide', 'a->a', '--json']))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ticket.__file__)))

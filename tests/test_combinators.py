@@ -14,6 +14,7 @@ from ticket.combinators import (
     axiom_b,
     axiom_b_prime,
     axiom_i,
+    axiom_kind,
     axiom_w,
     check_derivation,
     derivation_from_json,
@@ -23,7 +24,8 @@ from ticket.combinators import (
 )
 from ticket.compact import comb_to_lambda
 from ticket.formula import Atom, Imp, parse_formula
-from ticket.shadow import decide
+from ticket import oracle
+from ticket.shadow import DecideConfig, decide, refute
 from ticket.terms import (
     App,
     Lam,
@@ -154,10 +156,10 @@ PROVE = pathlib.Path(__file__).parent.parent / "bench" / "data" / "prove.txt"
 
 def test_certificates_have_no_detour(closed_terms):
     # no mp step concludes an axiom instance, and the sub-derivations of one
-    # certificate that share a conclusion share its size
-    cases = [(extract_combinator(m, phi), phi) for m, phi in closed_terms]
-    sample = [parse_formula(line.split("\t")[0]) for line in PROVE.read_text().splitlines()[::4]]
-    for phi in formula_corpus() + sample:
+    # certificate that share a conclusion share its size; the walk is run
+    # on axiom instances too, which extraction answers without it
+    cases = [(combinators._walk(m), phi) for m, phi in closed_terms]
+    for phi in formula_corpus() + _prove_pool()[::4]:
         d = decide(phi).witness_combinator
         if d is not None:
             cases.append((d, phi))
@@ -168,8 +170,83 @@ def test_certificates_have_no_detour(closed_terms):
         _sizes(d, by_conclusion)
         for conclusion, sizes in by_conclusion.items():
             assert len(sizes) == 1
-            if any(combinators._axiom_instance_ok(k, conclusion) for k in AXIOM_KINDS):
+            if axiom_kind(conclusion) is not None:
                 assert sizes == {1}
+
+
+# the named axioms of the benchmark's rounds
+NAMED_AXIOMS = {
+    "B": "(b->c)->(a->b)->a->c",
+    "B'": "(a->b)->(b->c)->a->c",
+    "I": "a->a",
+    "W": "(a->a->b)->a->b",
+}
+
+
+# the schemes, their atoms read as variables by `_matches`
+SCHEMES = {
+    "B": parse_formula("(c->p)->(f->c)->f->p"),
+    "B'": parse_formula("(f->c)->(c->p)->f->p"),
+    "I": parse_formula("f->f"),
+    "W": parse_formula("(f->f->c)->f->c"),
+}
+
+
+def _matches(scheme, t, binding):
+    # one-way matching of t against the scheme
+    if isinstance(scheme, Atom):
+        return binding.setdefault(scheme, t) is t
+    return (
+        isinstance(t, Imp)
+        and _matches(scheme.antecedent, t.antecedent, binding)
+        and _matches(scheme.consequent, t.consequent, binding)
+    )
+
+
+def _prove_pool():
+    return [parse_formula(line.split("\t")[0]) for line in PROVE.read_text().splitlines()]
+
+
+def test_axiom_kind_is_the_first_kind_that_fits():
+    # against matching by substitution, on every formula of at most 5
+    # arrows over a, b (where B and B' first occur) and on the prove pool
+    both = parse_formula("(a->a)->(a->a)->a->a")
+    assert axiom_kind(both) == "B"
+    assert combinators._axiom_instance_ok("B'", both)
+    for kind, text in NAMED_AXIOMS.items():
+        assert axiom_kind(parse_formula(text)) == kind
+    for phi in formula_corpus(5, (a, b)) + _prove_pool():
+        fits = [k for k in AXIOM_KINDS if _matches(SCHEMES[k], phi, {})]
+        assert axiom_kind(phi) == (fits[0] if fits else None)
+        for k in AXIOM_KINDS:
+            assert combinators._axiom_instance_ok(k, phi) == (k in fits)
+
+
+def test_axiom_instances_lose_nothing_by_the_short_paths():
+    # an axiom instance skips the countermodel sweep and the extraction
+    # walk: no matrix refutes it, the oracle finds its witness, and the
+    # walk would have given the same leaf
+    instances = [phi for phi in formula_corpus(4, (a, b, c)) + _prove_pool() if axiom_kind(phi)]
+    assert len(instances) > 250
+    for phi in instances:
+        assert refute(phi) is None
+        m = oracle.bounded_decide(phi, oracle.MAX_ORACLE_NODES)
+        assert m is not None
+        d = extract_combinator(m, phi)
+        assert d == Axiom(axiom_kind(phi), phi) == combinators._walk(m)
+
+
+@pytest.mark.parametrize("kind", NAMED_AXIOMS)
+def test_named_axioms_never_reach_the_sweep(monkeypatch, kind):
+    def sweep(phi, deadline):
+        raise AssertionError("the countermodel sweep ran")
+
+    monkeypatch.setattr("ticket.shadow.refute", sweep)
+    phi = parse_formula(NAMED_AXIOMS[kind])
+    d = decide(phi, DecideConfig())
+    assert d.verdict == "Inhabited"
+    assert d.stats["engine"] == "bounded"
+    assert d.witness_combinator == Axiom(kind, phi)
 
 
 def test_mp_keeps_every_step():

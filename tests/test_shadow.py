@@ -250,6 +250,17 @@ def test_config_rejects_a_bool_budget():
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("time_budget", "1"), ("time_budget", 1j), ("time_budget", [1]), ("engine", ["auto"]), ("engine", None)],
+)
+def test_config_rejects_a_value_of_the_wrong_type(field, value):
+    # a ValueError that names the field, not a TypeError from comparing or
+    # hashing the value
+    with pytest.raises(ValueError, match=field):
+        DecideConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
     "text,engine,oracle_nodes",
     [
         # the shadow search does not finish on this theorem
