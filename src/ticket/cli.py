@@ -141,15 +141,14 @@ def _decision_payload(phi, d: Decision) -> dict:
     }
 
 
-def _print_decision_text(phi, d: Decision) -> None:
-    print(f"{print_formula(phi)}: {d.verdict}")
-    if d.witness_lambda is not None:
-        print(f"  witness: {print_term(d.witness_lambda)}")
-    if d.witness_combinator is not None:
-        print(f"  certificate: {json.dumps(derivation_to_json(d.witness_combinator))}")
-    if d.countermodel is not None:
-        cm = json.dumps(countermodel_to_json(d.countermodel), sort_keys=True)
-        print(f"  countermodel: {cm}")
+def _print_decision_text(payload: dict) -> None:
+    print(f"{payload['formula']}: {payload['verdict']}")
+    if payload["witness_lambda"] is not None:
+        print(f"  witness: {payload['witness_lambda']}")
+    if payload["witness_combinator"] is not None:
+        print(f"  certificate: {json.dumps(payload['witness_combinator'])}")
+    if payload["countermodel"] is not None:
+        print(f"  countermodel: {json.dumps(payload['countermodel'], sort_keys=True)}")
 
 
 def cmd_decide(args) -> int:
@@ -159,13 +158,14 @@ def cmd_decide(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     d = decide(phi, DecideConfig(engine=args.engine, time_budget=args.time_budget))
+    payload = _decision_payload(phi, d)
     if args.json:
         out: list[str] = []
-        _encode(_decision_payload(phi, d), out)
+        _encode(payload, out)
         out.append("\n")
         sys.stdout.write("".join(out))
     else:
-        _print_decision_text(phi, d)
+        _print_decision_text(payload)
     if args.trace:
         for k, v in sorted({**d.stats, **d.times}.items()):
             print(f"  # {k} = {v}", file=sys.stderr)

@@ -132,13 +132,13 @@ def _program(phi: Formula) -> Program:
     return atoms, ops
 
 
-def _values(table: tuple[int, ...], ops, columns) -> list[int]:
-    """The value of the program's last slot on each row, given the columns
-    of its atom slots."""
-    cols = list(columns)
+def _value(table: tuple[int, ...], ops, row: list[int]) -> int:
+    """The value of the program's last slot, given the values of its atom
+    slots."""
+    slots = list(row)
     for left, right in ops:
-        cols.append([table[3 * x + y] for x, y in zip(cols[left], cols[right])])
-    return cols[-1]
+        slots.append(table[3 * slots[left] + slots[right]])
+    return slots[-1]
 
 
 def _unvalidated_axiom(table, designated) -> str | None:
@@ -350,8 +350,7 @@ def check_countermodel(cm: Countermodel, phi: Formula) -> None:
     for name in atoms:
         if name not in env:
             raise CountermodelError(f"the assignment gives no value to {name}")
-    (value,) = _values(table, ops, [[env[name]] for name in atoms])
-    if value in designated:
+    if _value(table, ops, [env[name] for name in atoms]) in designated:
         raise CountermodelError(f"{print_formula(phi)} is designated under the assignment")
 
 

@@ -5,19 +5,21 @@ Ground truth for cross-validation: a bottom-up dynamic program over term
 size. Only the order type of ranks matters for HRM and typing, so every term
 is built canonical (`ticket.terms`): a variable is rank 1, an abstraction
 binds the greatest free rank, and an application splits its free ranks
-with `free_splits` and places both sides with `place_canonical`.
+with `free_splits`.
 
 A state is a plain tuple that says how a canonical term is built: its type
 psi, its free types chi in rank order, and its parts.
 - `(psi, chi)` is the variable of type psi, with chi = (psi,);
 - `(psi, chi, body)` is the abstraction over the state `body`, whose free
   types are chi and then the binder's type;
-- `(psi, chi, fn, arg, pos1, pos2, r)` is the application of the state
-  `fn` to the state `arg`, whose free ranks go to pos1 and pos2 among its
-  r = len(chi) (a `free_splits` split).
-`state_term` builds a state's term. Here and in the shadow search
-(`ticket.shadow._Solver`) it is the one place where a search builds a
-term, and only for the states that search returns.
+- `(psi, chi, fn, arg, pos1, pos2)` is the application of the state `fn`
+  to the state `arg`, whose free ranks go to pos1 and pos2 among its
+  len(chi) (a `free_splits` split).
+`state_term` builds a state's term in one walk down the state, which
+hands each part the final ranks of its free variables, so every node is
+built once. Here and in the shadow search (`ticket.shadow._Solver`) it is
+the one place where a search builds a term, and only for the states that
+search returns.
 
 The levels hold states, no state twice. The splits come from `_splits`;
 those for up to three free ranks are built at import.
@@ -56,7 +58,7 @@ import time
 from typing import Iterator
 
 from .formula import Formula, Imp
-from .terms import App, Lam, Term, Var, VarRef, free_splits, node_count, place_canonical, print_term
+from .terms import App, Lam, Term, Var, VarRef, free_splits, node_count, print_term
 
 # The node bound of the oracle inside `decide`, which reads it at each call.
 MAX_ORACLE_NODES = 10
@@ -174,38 +176,38 @@ def _levels(
                             if any(ab[i] != ab[j] for i, j in shared):
                                 continue
                             merged = tuple([ab[k] for k in pick])
-                            add(size, (fn_type.consequent, merged, st1, st2, pos1, pos2, r))
+                            add(size, (fn_type.consequent, merged, st1, st2, pos1, pos2))
         yield size, by_size[size]
 
 
-def state_term(state: tuple, built: dict[int, Term] | None = None) -> Term:
-    """The canonical term of a state (see the module docstring). A caller
-    that builds the terms of many states with shared parts passes the same
-    dict `built` to every call: it maps the id of each state built so far to
-    its term, so that each state's term is built once, and the caller keeps
-    those states alive while it holds the dict."""
-    term = None if built is None else built.get(id(state))
-    if term is not None:
-        return term
+def state_term(state: tuple) -> Term:
+    """The canonical term of a state (see the module docstring)."""
+    r = len(state[1])
+    return _build(state, tuple(range(1, r + 1)), r)[0]
+
+
+def _build(state: tuple, ranks: tuple[int, ...], base: int) -> tuple[Term, int]:
+    """The term of a state at its final ranks, in one walk: free rank i
+    becomes ranks[i-1] and the bound ranks are base+1, base+2, ... in
+    preorder. Returns the term and base plus its number of binders, the
+    base of whatever is built next."""
     if len(state) == 2:
-        term = Var(VarRef(1, state[0]))
-    elif len(state) == 3:
-        free = state[2][1]
-        term = Lam(VarRef(len(free), free[-1]), state_term(state[2], built))
-    else:
-        _, _, fn, arg, pos1, pos2, r = state
-        left, top = place_canonical(state_term(fn, built), pos1, r)
-        right, _ = place_canonical(state_term(arg, built), pos2, top)
-        term = App(left, right)
-    if built is not None:
-        built[id(state)] = term
-    return term
+        return Var(VarRef(ranks[0], state[0])), base
+    if len(state) == 3:
+        body = state[2]
+        term, top = _build(body, ranks + (base + 1,), base + 1)
+        # the binder takes the body's last free type
+        return Lam(VarRef(base + 1, body[1][-1]), term), top
+    _, _, fn, arg, pos1, pos2 = state
+    left, top = _build(fn, tuple([ranks[k - 1] for k in pos1]), base)
+    right, top = _build(arg, tuple([ranks[k - 1] for k in pos2]), top)
+    return App(left, right), top
 
 
 def smallest(states: list[tuple]) -> Term:
     """The first term of the states in the witness order. Node counts are
-    read off the states, memoised by id as `state_term` memoises terms, so
-    that terms are built only for the states of the least count."""
+    read off the states, memoised by id, so that terms are built only for
+    the states of the least count."""
     counts: dict[int, int] = {}
 
     def count(state: tuple) -> int:
@@ -217,20 +219,18 @@ def smallest(states: list[tuple]) -> Term:
         return n
 
     least = min(map(count, states))
-    built: dict[int, Term] = {}
-    return min((state_term(st, built) for st in states if count(st) == least), key=print_term)
+    return min((state_term(st) for st in states if count(st) == least), key=print_term)
 
 
 def witness_order(states: list[tuple], deadline: float = math.inf) -> list[Term]:
     """The terms of the states in the witness order, (node count, print).
-    Each term, and each part that states share, is built once. Raises
-    TimeoutError once `time.monotonic()` passes `deadline`, checked per state."""
-    built: dict[int, Term] = {}
+    Raises TimeoutError once `time.monotonic()` passes `deadline`, checked
+    per state."""
     keyed = []
     for state in states:
         if time.monotonic() > deadline:
             raise TimeoutError
-        t = state_term(state, built)
+        t = state_term(state)
         keyed.append((node_count(t), print_term(t), t))
     return [t for _, _, t in sorted(keyed, key=lambda k: k[:2])]
 

@@ -23,11 +23,13 @@ variable, unary = abstraction, binary = application with an order-preserving
 free-variable merge); every shadow of a compact inhabitant satisfies these,
 so no inhabited domain is lost.
 
-The search returns states, the tuples that say how a term is built (see
-`ticket.oracle`), and shares a sub-search's states among the nodes built
-on them. `solve` builds the terms of all solutions of phi in the oracle's
-witness order (`oracle.witness_order`), and the shadow step of `decide`
-only the smallest (`oracle.smallest`).
+The search returns states, the tuples that say how a term is built, in
+the oracle's format (`ticket.oracle`): an application of a node with free
+types chi is `(psi, chi, fn, arg, pos1, pos2)`, with the `free_splits`
+split of chi's ranks that it came from. It shares a sub-search's states
+among the nodes built on them. `solve` builds the terms of all solutions
+of phi in the oracle's witness order (`oracle.witness_order`), and the
+shadow step of `decide` only the smallest (`oracle.smallest`).
 
 A step of `decide` is `step(phi, deadline, stats) -> (verdict, witness,
 countermodel) | None`; None hands phi to the next step. A step writes its
@@ -192,7 +194,7 @@ class _Solver:
                             # thousands of arguments
                             if time.monotonic() > self.deadline:
                                 raise TimeoutError
-                            out.append((psi, chi, fn, arg, pos1, pos2, r))
+                            out.append((psi, chi, fn, arg, pos1, pos2))
         return out
 
     def _feasible(self, chi: tuple[Formula, ...], arity: int, psi: Formula, hist: frozenset) -> bool:

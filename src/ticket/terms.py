@@ -5,17 +5,17 @@ variables) and a declared type. Terms are not identified modulo alpha
 conversion. A term is canonical when its p free ranks are 1..p and its
 bound ranks are p+1, p+2, ... with no gap; `alpha_canonical` computes that
 representative and is the reference. Both searches build only canonical
-terms, through one term builder, `oracle.state_term`, whose one renaming
-step, `place_canonical`, maps canonical terms to canonical terms, so they
-never re-canonicalise. Their one split of an application's free variables
-is `free_splits`, the HRM application rule;
-`type_of` checks that rule on its own and raises NotHRM where a term breaks
-it. Typing is one walk, `_typed`, which returns a term's type and free
-ranks bottom-up, so each node is visited once: `type_of` is that walk, and
-`is_nf_inhabitant` runs it once with the checks of a closed normal term
-added (distinct binder ranks, no abstraction in function position). HRM
-substitution and normalization, which only the lemma checks use, are in
-`ticket.compact`, and so is `is_normal`.
+terms, through one term builder, `oracle.state_term`, which gives each
+variable its final rank as it builds the term, so they never
+re-canonicalise. Their one split of an application's free variables is
+`free_splits`, the HRM application rule; `type_of` checks that rule on its
+own and raises NotHRM where a term breaks it. Typing is one walk,
+`_typed`, which returns a term's type and free ranks bottom-up, so each
+node is visited once: `type_of` is that walk, and `is_nf_inhabitant` runs
+it once with the checks of a closed normal term added (distinct binder
+ranks, no abstraction in function position). HRM substitution and
+normalization, which only the lemma checks use, are in `ticket.compact`,
+and so is `is_normal`.
 """
 from __future__ import annotations
 
@@ -221,30 +221,6 @@ def rename_bound_above(m: Term, base: int) -> Term:
     return _rename_bound(m, mapping) if mapping else m
 
 
-def place_canonical(m: Term, positions: tuple[int, ...], base: int) -> tuple[Term, int]:
-    """Place a canonical term m with p = len(positions) free variables into a
-    merged context: free rank i becomes positions[i-1] and bound rank p+j
-    becomes base+j. Returns the placed term and base plus the number of
-    bound variables, the base for whatever is placed next."""
-    p = len(positions)
-    binders = 0
-
-    def ref(old: VarRef) -> VarRef:
-        rank = positions[old.rank - 1] if old.rank <= p else base + old.rank - p
-        return VarRef(rank, old.var_type)
-
-    def walk(t: Term) -> Term:
-        nonlocal binders
-        if isinstance(t, Var):
-            return Var(ref(t.ref))
-        if isinstance(t, Lam):
-            binders += 1
-            return Lam(ref(t.binder), walk(t.body))
-        return App(walk(t.fn), walk(t.arg))
-
-    return walk(m), base + binders
-
-
 def free_splits(
     r: int, fn_size: int | None = None, arg_size: int | None = None
 ) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[int, ...]]]]:
@@ -254,7 +230,9 @@ def free_splits(
     argument side holds rank r, so it dominates the function side's greatest
     rank. Yields each pos1 with a lazy iterator over its pos2, so a caller can
     skip or stop between sides; `fn_size` and `arg_size` fix len(pos1) and
-    len(pos2). Positions come increasing, as `place_canonical` takes them."""
+    len(pos2). Positions come increasing: a side's free rank i goes to its
+    i-th position, so each side keeps the order of its free variables, the
+    only thing about ranks that HRM typing reads."""
     ranks = range(1, r + 1)
 
     def arg_sides(pos1: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -37,12 +37,30 @@ def test_decide_inhabited_exit_0(capsys):
     assert code == 0
     assert "Inhabited" in out
     assert "\\x1:a. x1" in out
+    # the certificate line keeps the payload's key order
+    code, out, _ = run(capsys, "decide", "(b->c->c->a)->b->c->a")
+    assert code == 0
+    assert out == (
+        "(b->c->c->a)->b->c->a: Inhabited\n"
+        "  witness: \\x1:b->c->c->a. \\x2:b. \\x3:c. x1 x2 x3 x3\n"
+        '  certificate: {"kind": "mp", "type": "(b->c->c->a)->b->c->a", "children": '
+        '[{"kind": "B", "type": "((c->c->a)->c->a)->(b->c->c->a)->b->c->a"}, '
+        '{"kind": "W", "type": "(c->c->a)->c->a"}]}\n'
+    )
 
 
 def test_decide_empty_exit_1(capsys):
     code, out, _ = run(capsys, "decide", "a->(b->a)", "--engine", "shadow")
     assert code == 1
     assert "Empty" in out
+    # the countermodel line sorts its keys
+    code, out, _ = run(capsys, "decide", "a->(b->a)")
+    assert code == 1
+    assert out == (
+        "a->b->a: Empty\n"
+        '  countermodel: {"assignment": {"a": 0, "b": 1}, "designated": [0, 1], '
+        '"table": [0, 0, 2, 2, 0, 2, 0, 0, 0]}\n'
+    )
 
 
 def test_decide_exhausted_exit_3(capsys):

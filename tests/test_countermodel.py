@@ -125,16 +125,16 @@ def test_theorem_past_max_atoms_is_not_refuted(text):
 
 
 def test_countermodel_sweeps_once(monkeypatch):
-    # the sweep evaluates no matrix on its own: `_values`, which evaluates
+    # the sweep evaluates no matrix on its own: `_value`, which evaluates
     # a formula in one matrix, is left to `check_countermodel`
     calls = []
-    values = ticket.countermodel._values
+    value = ticket.countermodel._value
 
     def counted(*args):
         calls.append(args)
-        return values(*args)
+        return value(*args)
 
-    monkeypatch.setattr(ticket.countermodel, "_values", counted)
+    monkeypatch.setattr(ticket.countermodel, "_value", counted)
     assert countermodel(parse_formula("(a->b->c)->(a->b)->a->c")) is None  # S
     assert calls == []
 

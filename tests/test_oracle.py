@@ -1,3 +1,4 @@
+import collections
 import time
 
 import pytest
@@ -5,7 +6,19 @@ import pytest
 from ticket import oracle
 from ticket.formula import Imp, parse_formula, print_formula
 from ticket.oracle import _levels, bounded_decide, enumerate_inhabitants, state_term
-from ticket.terms import alpha_canonical, free_vars, is_nf_inhabitant, node_count, print_term, type_of
+from ticket.shadow import _Solver
+from ticket.terms import (
+    App,
+    Lam,
+    Var,
+    VarRef,
+    alpha_canonical,
+    free_vars,
+    is_nf_inhabitant,
+    node_count,
+    print_term,
+    type_of,
+)
 
 from conftest import A, B, C, formula_corpus
 
@@ -65,16 +78,10 @@ def test_bounded_decide_builds_terms_only_for_its_last_level_hits(monkeypatch):
     # the levels hold states; a term is built only for a closed state of
     # type phi of the level the search stops at
     calls = []
-    depth = [0]
 
-    def counting(state, built=None):
-        if not depth[0]:
-            calls.append(state)
-        depth[0] += 1
-        try:
-            return term(state, built)
-        finally:
-            depth[0] -= 1
+    def counting(state):
+        calls.append(state)
+        return term(state)
 
     term = oracle.state_term
     monkeypatch.setattr(oracle, "state_term", counting)
@@ -104,6 +111,34 @@ def test_levels_build_each_term_once_and_canonical():
                 assert tuple(v.var_type for v in free_vars(m)) == st[1]
                 assert m not in seen
                 seen.add(m)
+
+
+def test_state_term_builds_each_node_once(monkeypatch):
+    # one walk at the final ranks: a term of n nodes costs n Var, Lam and
+    # App objects and one VarRef per variable and binder, with no copy of a
+    # part for the applications above it
+    made = collections.Counter()
+
+    def counted(cls):
+        init = cls.__init__
+
+        def counting(self, *args):
+            made[cls] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    for cls in (Var, Lam, App, VarRef):
+        counted(cls)
+    states = [st for phi in formula_corpus() for _, level in _levels(phi, 9) for st in level]
+    for text in ("(a->a->b)->a->b", "(x->y)->((p->x)->(p->y))", "((b->b->a)->b)->(b->b->b->a)->b"):
+        phi = parse_formula(text)
+        states += _Solver(phi).sols((), phi, frozenset(), False)
+    for st in states:
+        made.clear()
+        m = state_term(st)
+        assert made[Var] + made[Lam] + made[App] == node_count(m)
+        assert made[VarRef] == made[Var] + made[Lam]
 
 
 # Formulas on which the binder rule prunes variables at negative types that

@@ -365,19 +365,12 @@ def test_time_budget_holds_while_terms_are_built():
 def test_shadow_decide_builds_terms_only_for_its_smallest_solutions(monkeypatch):
     # `decide` counts nodes on the states: of the 7001 solutions here, from
     # 2 to 59 nodes, it builds the term of the one 2-node solution only
-    # (and, inside that call, the terms of its parts)
     phi = parse_formula(PAIRS)
     built = []
-    depth = [0]
 
-    def term(state, memo):
-        if not depth[0]:
-            built.append(state)
-        depth[0] += 1
-        try:
-            return state_term(state, memo)
-        finally:
-            depth[0] -= 1
+    def term(state):
+        built.append(state)
+        return state_term(state)
 
     monkeypatch.setattr(ticket.oracle, "state_term", term)
     d = decide(phi, DecideConfig(engine="shadow"))
@@ -430,6 +423,7 @@ def test_solutions_are_built_canonical():
             continue
         for m in _Solver(phi).solve():
             assert alpha_canonical(m) == m
+            assert is_nf_inhabitant(m, phi)
 
 
 def test_no_search_hashes_a_term(monkeypatch):
